@@ -58,19 +58,40 @@ func (c counts) sum(prefix, suffix string) float64 {
 	return s
 }
 
-// ledgerRun is the traced run: counters over an untraced knee phase,
-// an untraced low phase for the tracing overhead, a traced low phase
-// whose requests are joined with the program's spans, and the slo_rps
-// ladder. The low-rate and tail figures (p50_ms.low, p99_ms.*,
-// slo_rps) are reported here, with no bound, because on a shared 2-CPU
-// host their spread from run to run is wider than any bound a gate
-// could use.
+// kneeShare is the knee phase's offered rate as a share of the
+// service's peak rate measured just before it. A rate fixed in requests
+// per second would load the service at a different share of its
+// capacity each time the shared host's speed drifts, and queueing makes
+// latency at a fixed rate swing far more than the speed does; at a
+// fixed share of capacity latency follows the speed. The requests do
+// not depend on the rate: the same seed makes the same requests with
+// the same gaps, scaled (see generator.arrivals).
+const kneeShare = 0.4
+
+// ledgerRun is the traced run: a closed-loop phase for the CPU cost per
+// answer, counters over an untraced knee phase, an untraced low phase
+// for the tracing overhead, a traced low phase whose requests are
+// joined with the program's spans, and the slo_rps ladder. The latency
+// figures (p50_ms.*, p99_ms.*, slo_rps) and the CPU cost are reported
+// here, with no bound, because on a shared 2-CPU host their spread from
+// run to run is wider than any bound a gate could use.
 func (r *run) ledgerRun() (*result, error) {
-	if _, err := r.prepare(1); err != nil {
+	if err := r.prepare(); err != nil {
+		return nil, err
+	}
+	if _, err := r.start(0); err != nil {
 		return nil, err
 	}
 	m := map[string]metric{}
 	put := func(name string, v float64, unit string) { m[name] = metric{v, unit} }
+
+	// A closed-loop phase gives the CPU cost per answer and the peak
+	// rate the knee rate is a share of.
+	cpu0 := cpuTime()
+	peak := r.gen.closed("peak", r.share(0.1))
+	cpu := cpuTime() - cpu0
+	r.account(peak)
+	put("cpu_us_per_req", float64(cpu.Nanoseconds())/1e3/math.Max(1, float64(peak.ok+peak.degraded)), "us")
 
 	// Counters over the knee phase.
 	stopQ := make(chan struct{})
@@ -97,7 +118,7 @@ func (r *run) ledgerRun() (*result, error) {
 		}
 	}()
 	c0 := r.counts()
-	knee, err := r.openPhase("knee", r.w.kneeRate, r.share(0.2))
+	knee, err := r.openPhase("knee", kneeShare*peak.completedRate(), r.share(0.15))
 	c1 := r.counts()
 	close(stopQ)
 	qmax := <-qdone
@@ -153,7 +174,7 @@ func (r *run) ledgerRun() (*result, error) {
 	put("loadgen.inflight_max", float64(knee.inflightMax), "count")
 
 	// Untraced, then traced, at the low rate.
-	plain, err := r.openPhase("low", r.w.lowRate, r.share(0.2))
+	plain, err := r.openPhase("low", r.w.lowRate, r.share(0.15))
 	if err != nil {
 		return nil, err
 	}
@@ -166,6 +187,7 @@ func (r *run) ledgerRun() (*result, error) {
 	put("trace.overhead_us", tracedPhase.p(0.5)-plain.p(0.5), "us")
 	put("p50_ms.low", finite(plain.p(0.5)/1e3), "ms")
 	put("p99_ms.low", finite(plain.p(0.99)/1e3), "ms")
+	put("p50_ms.knee", finite(knee.p(0.5)/1e3), "ms")
 	put("p99_ms.knee", finite(knee.p(0.99)/1e3), "ms")
 	slo, err := r.sloRPS(0.3)
 	if err != nil {

@@ -262,17 +262,7 @@ type arrival struct {
 // Arrivals still queued grace after the last one was due are
 // abandoned and count as failed the latency limit.
 func (g *generator) open(name string, rate float64, dur, grace time.Duration) *phase {
-	stream := fmt.Sprintf("%s@%.2f", name, rate)
-	rng := rand.New(rand.NewSource(g.seed ^ int64(strHash(stream))))
-	var offsets []time.Duration
-	for t := 0.0; ; {
-		t += rng.ExpFloat64() / rate
-		d := time.Duration(t * float64(time.Second))
-		if d >= dur {
-			break
-		}
-		offsets = append(offsets, d)
-	}
+	offsets := g.arrivals(name, rate, dur)
 	p := &phase{name: name, rate: rate}
 	// Sized to every arrival of the phase so the dispatcher never
 	// blocks: the backlog lives here, not in the dispatcher's timing.
@@ -301,7 +291,7 @@ func (g *generator) open(name string, rate float64, dur, grace time.Duration) *p
 						break
 					}
 				}
-				idx, user := g.request(stream, a.i)
+				idx, user := g.request(name, a.i)
 				g.send(context.Background(), idx, user, a.due, &buf, rec)
 				inflight.Add(-1)
 			}
@@ -338,6 +328,23 @@ func (g *generator) open(name string, rate float64, dur, grace time.Duration) *p
 		p.lat = append(p.lat, math.Inf(1))
 	}
 	return p
+}
+
+// arrivals returns the seeded Poisson arrival times of an open-loop
+// phase, from its start, up to dur. They depend on the seed and the
+// phase's name only through unit-rate gaps divided by rate, so the
+// same phase at another rate has the same arrivals, scaled in time.
+func (g *generator) arrivals(name string, rate float64, dur time.Duration) []time.Duration {
+	rng := rand.New(rand.NewSource(g.seed ^ int64(strHash(name))))
+	var offsets []time.Duration
+	for t := 0.0; ; {
+		t += rng.ExpFloat64() / rate
+		d := time.Duration(t * float64(time.Second))
+		if d >= dur {
+			return offsets
+		}
+		offsets = append(offsets, d)
+	}
 }
 
 // backlogGrew reports whether the generator's queue grew over the

@@ -14,9 +14,10 @@ import (
 	"time"
 )
 
-// workload is one traffic mix. Rates are fixed per workload, not
-// derived from a run's own peak, so two commits are compared at the
-// same offered load.
+// workload is one traffic mix. The low rate and the slo_rps ladder are
+// fixed per workload, so two commits are compared at the same offered
+// load there; the knee rate is a share of the run's own peak (see
+// kneeShare).
 type workload struct {
 	name    string
 	objects int
@@ -28,7 +29,6 @@ type workload struct {
 	edge        bool  // requests enter through the HTTP edge
 	split       bool  // two core.Systems joined over loopback TCP
 	lowRate     float64
-	kneeRate    float64
 	ladderHi    float64
 	limitMS     float64 // p99 limit for slo_rps
 	warm        time.Duration
@@ -40,21 +40,21 @@ var workloads = []*workload{
 	{
 		name:    "edge_hot",
 		objects: 200, zipf: 1.1, edge: true,
-		lowRate: 600, kneeRate: 1800, ladderHi: 9000, limitMS: 10, warm: time.Second,
+		lowRate: 600, ladderHi: 9000, limitMS: 10, warm: time.Second,
 	},
 	// Uniform misses over 8x the cache: loads the origin fetch, dispatch,
 	// the distillers and the vcache write path.
 	{
 		name:    "distill_churn",
 		objects: 2000, cacheShare: 1.0 / 8,
-		lowRate: 200, kneeRate: 900, ladderHi: 3500, limitMS: 50, warm: 2 * time.Second,
+		lowRate: 200, ladderHi: 3500, limitMS: 50, warm: 2 * time.Second,
 	},
 	// A Zipf mix with about 3 in 4 hits across two processes: every
 	// probe, put and dispatch crosses the transport bridge.
 	{
 		name:    "split_mix",
 		objects: 800, zipf: 1.0, cacheShare: 0.25, split: true,
-		lowRate: 50, kneeRate: 180, ladderHi: 800, limitMS: 50, warm: 2 * time.Second,
+		lowRate: 50, ladderHi: 800, limitMS: 50, warm: 2 * time.Second,
 	},
 }
 
@@ -100,7 +100,7 @@ func main() {
 		os.Exit(1)
 	}
 	detail, _ := json.Marshal(map[string]any{"workload": w.name, "host": r.host, "phases": r.report, "ladder": r.ladder,
-		"max_kept_steal": r.stolen})
+		"peak_steal_share": r.stolen})
 	fmt.Println(string(detail))
 	line, _ := json.Marshal(res)
 	fmt.Println(string(line))

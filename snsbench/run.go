@@ -5,17 +5,12 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/tacc"
 )
-
-// setups is how many times a scorecard run boots the service; setup_s
-// is their median.
-const setups = 3
 
 // run is one benchmark invocation.
 type run struct {
@@ -35,7 +30,7 @@ type run struct {
 
 	report    []phaseReport
 	ladder    []rungReport
-	stolen    float64 // steal share of the noisiest kept round
+	stolen    float64 // steal share of the peak phases
 	attempted int
 	failed    int
 	degraded  int
@@ -91,46 +86,39 @@ func (r *run) share(d float64) time.Duration {
 	return time.Duration(d * float64(r.budget))
 }
 
-// prepare builds the universe, boots the service (n times, keeping
-// the last) and warms it. It returns the set-up times.
-func (r *run) prepare(n int) ([]float64, error) {
+// prepare builds the universe and the generator that draws from it.
+func (r *run) prepare() error {
 	t0 := time.Now()
 	var err error
 	if r.dir, err = workDir(); err != nil {
-		return nil, err
+		return err
 	}
 	r.reg, r.timers = timedRegistry()
 	if r.u, err = newUniverse(r.w.objects, r.reg); err != nil {
-		return nil, err
-	}
-	for _, t := range r.timers {
-		t.take() // drop the oracle's own distillations
+		return err
 	}
 	if r.w.cacheShare > 0 {
 		r.w.cacheBudget = int64(float64(r.u.bytes)*r.w.cacheShare) / 2
 	}
 	r.org = &fetcher{u: r.u}
-	logf("universe: %d objects, %.1f MB, in %.1fs", len(r.u.objs), float64(r.u.bytes)/(1<<20), time.Since(t0).Seconds())
-	var times []float64
-	for i := 0; i < n; i++ {
-		runtime.GC()
-		dep, setup, err := boot(r.w, r.seed, r.reg, r.org, r.dir, r.conc)
-		if err != nil {
-			return nil, err
-		}
-		times = append(times, setup.Seconds())
-		if i < n-1 {
-			dep.stop()
-			continue
-		}
-		r.dep = dep
-	}
 	sizes := make([]int, len(r.u.objs))
 	for i, o := range r.u.objs {
 		sizes[i] = o.blob.Size()
 	}
-	r.gen = &generator{seed: r.seed, u: r.u, pop: newPopularity(r.seed, sizes, r.w.zipf), users: 16,
-		tgt: r.dep.tgt, conc: r.conc}
+	r.gen = &generator{seed: r.seed, u: r.u, pop: newPopularity(r.seed, sizes, r.w.zipf), users: 16, conc: r.conc}
+	logf("universe: %d objects, %.1f MB, in %.1fs", len(r.u.objs), float64(r.u.bytes)/(1<<20), time.Since(t0).Seconds())
+	return nil
+}
+
+// start boots the service, the i-th time in this run, and warms it. It
+// returns the set-up time.
+func (r *run) start(i int) (float64, error) {
+	runtime.GC()
+	dep, setup, err := boot(r.w, r.seed, r.reg, r.org, r.dir, r.conc)
+	if err != nil {
+		return 0, err
+	}
+	r.dep, r.gen.tgt = dep, dep.tgt
 	// Warm-up: a Zipf workload first requests every object once, least
 	// popular first, so the cache's LRU starts out holding the most
 	// popular objects it has room for, as it does in its steady state;
@@ -142,17 +130,24 @@ func (r *run) prepare(n int) ([]float64, error) {
 		}
 		r.wrong += r.gen.sweep(order).wrong
 	}
-	logf("set-up: %d boots, %v s", n, times)
-	warm := r.gen.closed("warm", r.w.warm)
+	warm := r.gen.closed(fmt.Sprintf("warm-%d", i), r.w.warm)
 	r.wrong += warm.wrong
-	logf("warm: %d requests at %.0f/s", warm.attempts, warm.completedRate())
+	logf("boot %d: set-up %.3f s; warm: %d requests at %.0f/s", i, setup.Seconds(), warm.attempts, warm.completedRate())
 	if r.wrong > 0 {
-		return nil, fmt.Errorf("oracle: %d wrong bodies during warm-up", r.wrong)
+		return 0, fmt.Errorf("oracle: %d wrong bodies during warm-up", r.wrong)
 	}
 	for _, t := range r.timers {
-		t.take()
+		t.take() // drop the oracle's and the warm-up's distillations
 	}
-	return times, nil
+	return setup.Seconds(), nil
+}
+
+// stop shuts the running service down.
+func (r *run) stop() {
+	if r.dep != nil {
+		r.dep.stop()
+		r.dep = nil
+	}
 }
 
 // logf reports progress on standard error; standard output carries
@@ -164,9 +159,7 @@ func logf(format string, args ...any) {
 var started = time.Now()
 
 func (r *run) cleanup() {
-	if r.dep != nil {
-		r.dep.stop()
-	}
+	r.stop()
 	if r.dir != "" {
 		_ = os.RemoveAll(r.dir)
 	}
@@ -201,70 +194,53 @@ func (r *run) execute(traced bool) (*result, error) {
 	return r.scorecardRun()
 }
 
-// rounds is how many times a scorecard run repeats its knee and peak
-// phases, interleaved, and keptRounds how many of them count: the ones
-// with the least steal time, the time the hypervisor ran other guests
-// on this machine's CPUs (from /proc/stat). On a shared host steal
-// comes in bursts of seconds to minutes and slows everything, so it
-// would otherwise set the spread of the figures. peak_rps is the median
-// over the kept rounds; p50_ms.knee is taken over their requests in
-// windows (see phase.p).
+// A scorecard run boots the service boots times and runs rounds
+// closed-loop peak phases on each, so that a burst of host noise lands
+// in a part of the figure rather than in all of it. Each boot starts
+// from a fresh service and its own warm-up: after its warm-up
+// distill_churn settles into one of two steady states whose peak rates
+// are about a quarter apart, and which one appears to depend on the
+// warm-up's requests, so on a single boot each run would be a coin toss
+// between them.
 const (
-	rounds     = 9
-	keptRounds = 5
+	boots  = 3
+	rounds = 3
 )
 
 // scorecardRun measures the end-to-end metrics with tracing off.
 func (r *run) scorecardRun() (*result, error) {
-	setupTimes, err := r.prepare(setups)
-	if err != nil {
+	if err := r.prepare(); err != nil {
 		return nil, err
 	}
 	heap := startHeapSampler(50 * time.Millisecond)
 	defer heap.finish()
-	type roundResult struct {
-		knee, peak *phase
-		cpu        time.Duration
-		stolen     float64
-	}
-	var all []roundResult
-	for i := 0; i < rounds; i++ {
-		steal0, _ := stealTicks()
-		t0 := time.Now()
-		knee, err := r.openPhase(fmt.Sprintf("knee-%d", i), r.w.kneeRate, r.share(0.55/rounds))
+	var setupTimes []float64
+	var peakWall, peakStolen float64 // seconds; steal summed over the CPUs
+	peakDone := 0
+	for b := 0; b < boots; b++ {
+		setup, err := r.start(b)
 		if err != nil {
 			return nil, err
 		}
-		r.account(knee)
-		cpu0 := cpuTime()
-		peak := r.gen.closed(fmt.Sprintf("peak-%d", i), r.share(0.45/rounds))
-		rr := roundResult{knee: knee, peak: peak, cpu: cpuTime() - cpu0}
-		r.account(peak)
-		steal1, _ := stealTicks()
-		rr.stolen = float64(steal1-steal0) / (100 * time.Since(t0).Seconds() * float64(runtime.NumCPU()))
-		all = append(all, rr)
-		logf("round %d: knee p50 %.2f p99 %.2f ms, peak %.0f/s, steal %.1f%%",
-			i, knee.p(0.5)/1e3, knee.p(0.99)/1e3, peak.completedRate(), 100*rr.stolen)
+		setupTimes = append(setupTimes, setup)
+		for j := 0; j < rounds; j++ {
+			i := b*rounds + j
+			steal0, _ := stealTicks()
+			peak := r.gen.closed(fmt.Sprintf("peak-%d", i), r.share(1.0/(boots*rounds)))
+			steal1, _ := stealTicks()
+			r.account(peak)
+			peakWall += peak.elapsed.Seconds()
+			peakStolen += float64(steal1-steal0) / 100
+			peakDone += peak.ok + peak.degraded
+			logf("round %d: peak %.0f/s", i, peak.completedRate())
+		}
+		r.stop()
 	}
-	// Keep the quietest rounds: the ones during which the hypervisor ran
-	// other guests on this machine's CPUs least.
-	sort.SliceStable(all, func(i, j int) bool { return all[i].stolen < all[j].stolen })
-	var peakRPS, kneeLat []float64
-	var cpu time.Duration
-	completed := 0
-	for _, rr := range all[:keptRounds] {
-		kneeLat = append(kneeLat, rr.knee.lat...)
-		peakRPS = append(peakRPS, rr.peak.completedRate())
-		cpu += rr.cpu
-		completed += rr.peak.ok + rr.peak.degraded
-	}
-	r.stolen = all[keptRounds-1].stolen
+	r.stolen = peakStolen / (peakWall * float64(runtime.NumCPU()))
 
 	m := map[string]metric{
 		"setup_s":            {median(setupTimes), "s"},
-		"peak_rps":           {median(peakRPS), "1/s"},
-		"p50_ms.knee":        {finite(windowed(kneeLat, 0.5) / 1e3), "ms"},
-		"cpu_us_per_req":     {float64(cpu.Nanoseconds()) / 1e3 / math.Max(1, float64(completed)), "us"},
+		"peak_rps":           {givenRate(peakDone, peakWall, peakStolen, runtime.NumCPU()), "1/s"},
 		"heap_peak_mb":       {heap.finish(), "MB"},
 		"served_share":       {1 - ratio(r.failed, r.attempted), "ratio"},
 		"full_quality_share": {1 - ratio(r.degraded, r.attempted), "ratio"},

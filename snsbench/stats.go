@@ -87,3 +87,16 @@ func sloSearch(rungs []float64, probe func(rate float64) bool) (float64, int) {
 func sloVerdict(p99ms, limitMS, failShare float64, backlogGrew bool) bool {
 	return p99ms <= limitMS && failShare <= 0.001 && !backlogGrew
 }
+
+// givenRate is done answers per second of the machine the service was
+// given: the wall time less the share of it the hypervisor ran other
+// guests on this machine's ncpu CPUs. stolen is that steal time summed
+// over the CPUs (from /proc/stat), in seconds. On a shared host steal
+// comes in bursts and would otherwise set the spread of a rate.
+func givenRate(done int, wall, stolen float64, ncpu int) float64 {
+	given := wall - stolen/float64(ncpu)
+	if given <= 0 || ncpu < 1 {
+		given = wall
+	}
+	return float64(done) / given
+}

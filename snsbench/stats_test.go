@@ -147,3 +147,18 @@ func TestWindowedPercentileConfinesAStall(t *testing.T) {
 		t.Fatalf("short phase not taken as one window")
 	}
 }
+
+func TestGivenRateDiscountsStealTime(t *testing.T) {
+	// 1000 answers in 2 s on 2 CPUs, of which the hypervisor took 0.4
+	// CPU-seconds: the service had 1.8 s of the machine.
+	if got, want := givenRate(1000, 2, 0.4, 2), 1000/1.8; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("givenRate = %v, want %v", got, want)
+	}
+	if got := givenRate(1000, 2, 0, 2); got != 500 {
+		t.Fatalf("no steal: givenRate = %v, want 500", got)
+	}
+	// Steal data that cannot be right falls back to the wall time.
+	if got := givenRate(1000, 2, 5, 2); got != 500 {
+		t.Fatalf("steal beyond the wall time: givenRate = %v, want 500", got)
+	}
+}

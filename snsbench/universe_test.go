@@ -3,6 +3,7 @@ package main
 import (
 	"hash/maphash"
 	"testing"
+	"time"
 
 	"repro/internal/tacc"
 )
@@ -113,5 +114,25 @@ func TestOracleVerdicts(t *testing.T) {
 		if got := u.check(c.idx, c.source, c.degraded, c.body); got != c.want {
 			t.Errorf("check(%s, %s, degraded=%v, %q) = %v, want %v", u.objs[c.idx].url, c.source, c.degraded, c.body, got, c.want)
 		}
+	}
+}
+
+func TestArrivalsScaleWithRate(t *testing.T) {
+	g := &generator{seed: 7}
+	slow := g.arrivals("knee-0", 100, 10*time.Second)
+	fast := g.arrivals("knee-0", 200, 5*time.Second)
+	if len(slow) < 900 || len(slow) > 1100 {
+		t.Fatalf("%d arrivals at 100/s over 10 s", len(slow))
+	}
+	if len(fast) != len(slow) && len(fast) != len(slow)-1 && len(fast) != len(slow)+1 {
+		t.Fatalf("%d arrivals at twice the rate for half the time, want about %d", len(fast), len(slow))
+	}
+	for i := range fast[:min(len(fast), len(slow))] {
+		if d := 2*fast[i] - slow[i]; d < -2 || d > 2 {
+			t.Fatalf("arrival %d: %v at 200/s, %v at 100/s: not the same gap scaled", i, fast[i], slow[i])
+		}
+	}
+	if other := (&generator{seed: 8}).arrivals("knee-0", 100, 10*time.Second); other[0] == slow[0] && other[1] == slow[1] {
+		t.Fatalf("seeds 7 and 8 made the same arrivals")
 	}
 }
