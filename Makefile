@@ -2,7 +2,10 @@
 
 GO ?= go
 
-.PHONY: build test test-short race cover fuzz-smoke fuzz-frames smoke-multiprocess bench-snapshot bench-diff bench-wire bench-transport bench-blob chaos-soak
+.PHONY: vet build test test-short race cover fuzz-smoke fuzz-frames smoke-multiprocess bench-snapshot bench-diff bench-wire bench-transport bench-blob chaos-soak
+
+vet:
+	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -13,9 +16,10 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Race pass over the packages with real concurrency on the hot path.
+# Race pass over the packages with real concurrency on the hot path,
+# plus the component lifecycle (core) and the supervisor daemon.
 race:
-	$(GO) test -race -short ./internal/obs ./internal/san ./internal/vcache ./internal/frontend ./internal/edge ./internal/transport ./internal/chaos
+	$(GO) test -race -short ./internal/obs ./internal/san ./internal/vcache ./internal/frontend ./internal/edge ./internal/transport ./internal/chaos ./internal/core ./internal/supervisor
 
 # Coverage with the committed-baseline regression gate (satellite:
 # fails if total coverage drops >2 points from coverage_baseline.txt).

@@ -641,7 +641,7 @@ func measureSupervisorRestart(seed int64) (float64, error) {
 	}
 
 	start := time.Now()
-	if err := sysA.KillFrontEnd("fe0"); err != nil {
+	if err := sysA.Kill("fe0"); err != nil {
 		return 0, err
 	}
 	deadline = time.Now().Add(15 * time.Second)

@@ -21,6 +21,25 @@
 // Every message between the two terminals crosses a real TCP
 // connection as length-framed, CRC-protected, batched wire bytes.
 //
+// One process can also host the whole cluster:
+//
+//	go run ./cmd/node -roles all -http 127.0.0.1:8089
+//
+// The -http API:
+//
+//	GET /fetch?url=<synthetic-url>&user=<id>   proxy + distill a page
+//	GET /fetch?url=...&raw=1                   bypass distillation
+//	GET /prefs?user=<id>&key=<k>&val=<v>       set a profile entry
+//	GET /prefs?user=<id>                       show a profile
+//	GET /status[?format=text]                  metrics (JSON) or the monitor's view
+//	GET /metrics                               Prometheus text
+//	GET /trace?id=<hex>                        a request's span tree
+//	GET /kill?component=<name>                 crash a component hosted here
+//
+// Synthetic URLs look like http://origin7.example/obj123.sjpg — any
+// obj<N>.<sgif|sjpg|html> works; content is generated deterministically
+// by the simulated origin universe.
+//
 // -selftest N runs N requests against the cluster after it reports
 // ready, prints a JSON summary (requests, failures, wire/frame error
 // counters, batching figures), and exits non-zero on any failure —
@@ -570,9 +589,9 @@ func awaitDelegatedRestart(sys *core.System, timeout time.Duration) error {
 	return fmt.Errorf("no supervisor-delegated restart within %s (stats %+v)", timeout, sys.Manager().Stats())
 }
 
-// serveHTTP exposes the same /fetch and /status endpoints as
-// cmd/transend, backed by this process's front ends. The returned
-// server is already serving; the caller owns its graceful Shutdown.
+// serveHTTP exposes the HTTP API listed in the package comment,
+// backed by this process's front ends. The returned server is already
+// serving; the caller owns its graceful Shutdown.
 func serveHTTP(sys *core.System, addr string) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/fetch", func(w http.ResponseWriter, r *http.Request) {
@@ -595,7 +614,14 @@ func serveHTTP(sys *core.System, addr string) *http.Server {
 			ctx, cancel = context.WithTimeout(ctx, 30*time.Second)
 			defer cancel()
 		}
-		resp, err := sys.Request(ctx, url, r.URL.Query().Get("user"))
+		user := r.URL.Query().Get("user")
+		var resp frontend.Response
+		var err error
+		if r.URL.Query().Get("raw") != "" {
+			resp, err = fetchRaw(ctx, sys, url, user)
+		} else {
+			resp, err = sys.Request(ctx, url, user)
+		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
@@ -608,6 +634,20 @@ func serveHTTP(sys *core.System, addr string) *http.Server {
 			w.Header().Set(edge.HeaderTraceID, resp.Trace.String())
 		}
 		w.Write(resp.Blob.Data)
+	})
+	mux.HandleFunc("/prefs", func(w http.ResponseWriter, r *http.Request) {
+		user := r.URL.Query().Get("user")
+		if user == "" {
+			http.Error(w, "missing user parameter", http.StatusBadRequest)
+			return
+		}
+		if key := r.URL.Query().Get("key"); key != "" {
+			if err := sys.SetProfile(user, key, r.URL.Query().Get("val")); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+		}
+		fmt.Fprintf(w, "profile %s: %v\n", user, sys.Profile.Get(user))
 	})
 	// /status defaults to the machine-readable registry snapshot (every
 	// component's published metrics under dotted names); ?format=text
@@ -675,7 +715,7 @@ func serveHTTP(sys *core.System, addr string) *http.Server {
 			http.Error(w, "missing component parameter", http.StatusBadRequest)
 			return
 		}
-		if err := sys.KillComponent(name); err != nil {
+		if err := sys.Kill(name); err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
@@ -701,4 +741,20 @@ func serveHTTP(sys *core.System, addr string) *http.Server {
 		}
 	}()
 	return srv
+}
+
+// fetchRaw serves a request that bypasses distillation through the
+// first running front end that answers.
+func fetchRaw(ctx context.Context, sys *core.System, url, user string) (frontend.Response, error) {
+	err := errors.New("node: no running front end")
+	for _, fe := range sys.FrontEnds() {
+		if !fe.Running() {
+			continue
+		}
+		var resp frontend.Response
+		if resp, err = fe.Do(ctx, frontend.Request{URL: url, User: user, Raw: true}); err == nil {
+			return resp, nil
+		}
+	}
+	return frontend.Response{}, err
 }

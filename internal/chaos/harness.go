@@ -268,29 +268,14 @@ func (h *Harness) Execute(ctx context.Context, sched Schedule) int {
 func (h *Harness) inject(ev Event) {
 	detail := ""
 	switch ev.Kind {
-	case KillWorker:
-		if id := h.pickWorker(ev.Slot); id != "" {
-			_ = h.Sys.KillWorker(id)
-			detail = id
-		} else {
-			detail = "no-target"
+	case KillWorker, KillCache, KillFrontEnd:
+		detail = "no-target"
+		if name := h.pickTarget(ev); name != "" {
+			_ = h.Sys.Kill(name)
+			detail = name
 		}
 	case KillManager:
 		_ = h.Sys.KillManager()
-	case KillCache:
-		if name := h.pickCache(ev.Slot); name != "" {
-			_ = h.Sys.KillCache(name)
-			detail = name
-		} else {
-			detail = "no-target"
-		}
-	case KillFrontEnd:
-		if name := h.pickFrontEnd(ev.Slot); name != "" {
-			_ = h.Sys.KillFrontEnd(name)
-			detail = name
-		} else {
-			detail = "no-target"
-		}
 	case PartitionCaches:
 		groups := h.CachePartitionGroups()
 		if ev.Dur > 0 {
@@ -336,30 +321,28 @@ func (h *Harness) inject(ev Event) {
 
 // pickWorker resolves a slot to a live worker id (sorted order).
 func (h *Harness) pickWorker(slot int) string {
-	ids := h.Sys.Workers()
-	if len(ids) == 0 {
-		return ""
-	}
-	return ids[slot%len(ids)]
+	return h.pickTarget(Event{Kind: KillWorker, Slot: slot})
 }
 
-// pickCache resolves a slot to a locally hosted cache name (sorted
-// order).
-func (h *Harness) pickCache(slot int) string {
-	names := h.Sys.Caches()
+// pickTarget resolves a process-kill event's slot to a component
+// name: workers and caches in sorted order, front ends in creation
+// order.
+func (h *Harness) pickTarget(ev Event) string {
+	var names []string
+	switch ev.Kind {
+	case KillWorker:
+		names = h.Sys.Workers()
+	case KillCache:
+		names = h.Sys.Caches()
+	case KillFrontEnd:
+		for _, fe := range h.Sys.FrontEnds() {
+			names = append(names, fe.ID())
+		}
+	}
 	if len(names) == 0 {
 		return ""
 	}
-	return names[slot%len(names)]
-}
-
-// pickFrontEnd resolves a slot to a front-end name (creation order).
-func (h *Harness) pickFrontEnd(slot int) string {
-	fes := h.Sys.FrontEnds()
-	if len(fes) == 0 {
-		return ""
-	}
-	return fes[slot%len(fes)].ID()
+	return names[ev.Slot%len(names)]
 }
 
 // AwaitSteady blocks until the system is at full strength: every

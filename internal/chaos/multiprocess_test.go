@@ -132,7 +132,7 @@ func crossProcessRespawnTimeline(t *testing.T) []string {
 
 	for cycle := 1; cycle <= 2; cycle++ {
 		record(fmt.Sprintf("kill:fe0#%d", cycle))
-		if err := sysA.KillFrontEnd("fe0"); err != nil {
+		if err := sysA.Kill("fe0"); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, fmt.Sprintf("respawn cycle %d", cycle), func() bool {

@@ -157,7 +157,7 @@ func TestMultiProcessSupervisedRestart(t *testing.T) {
 		return ok && sup.Prefix == "a-"
 	})
 
-	if err := sysA.KillFrontEnd("fe0"); err != nil {
+	if err := sysA.Kill("fe0"); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "delegated FE restart", func() bool {

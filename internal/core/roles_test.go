@@ -87,11 +87,11 @@ func TestCacheCrashRespawn(t *testing.T) {
 	victim := names[0]
 	addrBefore := s.CacheNodes()[victim]
 	restarts := s.Manager().Stats().CacheRestarts
-	if err := s.KillCache(victim); err != nil {
+	if err := s.Kill(victim); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.KillCache("no-such-cache"); err == nil {
-		t.Fatal("KillCache accepted an unknown name")
+	if err := s.Kill("no-such-cache"); err == nil {
+		t.Fatal("Kill accepted an unknown name")
 	}
 
 	// Requests during the outage must still succeed.
@@ -125,17 +125,17 @@ func TestSystemAccessors(t *testing.T) {
 		if s.WorkerStub(id) == nil {
 			t.Fatalf("no stub for tracked worker %s", id)
 		}
-		if s.WorkerNode(id) == "" {
+		if a, ok := s.Addr(id); !ok || a.Node == "" {
 			t.Fatalf("no node for tracked worker %s", id)
 		}
 	}
-	if s.WorkerStub("ghost") != nil || s.WorkerNode("ghost") != "" {
+	if _, ok := s.Addr("ghost"); ok || s.WorkerStub("ghost") != nil {
 		t.Fatal("accessors resolved an unknown worker")
 	}
-	if s.FrontEndNode("fe0") == "" {
+	if a, ok := s.Addr("fe0"); !ok || a.Node == "" {
 		t.Fatal("fe0 has no node")
 	}
-	if s.FrontEndNode("feX") != "" {
+	if _, ok := s.Addr("feX"); ok {
 		t.Fatal("unknown front end resolved to a node")
 	}
 }

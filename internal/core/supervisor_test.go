@@ -10,7 +10,7 @@ import (
 
 // TestSupervisorWiredIntoEveryRoleSet: a plain single-process system
 // runs a supervisor daemon, the manager tracks its hello, and the
-// Host adapter resolves every locally hosted component kind.
+// Addr resolves every locally hosted component kind.
 func TestSupervisorWiredIntoEveryRoleSet(t *testing.T) {
 	s := startTranSend(t, nil)
 
@@ -32,32 +32,29 @@ func TestSupervisorWiredIntoEveryRoleSet(t *testing.T) {
 		t.Fatalf("Supervisors() = %v", sups)
 	}
 
-	// ComponentAddr covers workers, front ends, caches, the manager.
+	// Addr covers workers, front ends, caches, the manager.
 	workers := s.Workers()
 	if len(workers) == 0 {
 		t.Fatal("no workers")
 	}
-	if addr, ok := s.ComponentAddr(workers[0]); !ok || addr.Proc != workers[0] {
-		t.Fatalf("worker ComponentAddr = %v ok=%v", addr, ok)
+	for _, name := range []string{workers[0], "fe0", "cache0", "manager"} {
+		if addr, ok := s.Addr(name); !ok || addr.Proc != name {
+			t.Fatalf("Addr(%s) = %v ok=%v", name, addr, ok)
+		}
 	}
-	if addr, ok := s.ComponentAddr("fe0"); !ok || addr.Proc != "fe0" {
-		t.Fatalf("fe ComponentAddr = %v ok=%v", addr, ok)
-	}
-	if addr, ok := s.ComponentAddr("cache0"); !ok || addr.Proc != "cache0" {
-		t.Fatalf("cache ComponentAddr = %v ok=%v", addr, ok)
-	}
-	if _, ok := s.ComponentAddr("manager"); !ok {
-		t.Fatal("manager ComponentAddr missing")
-	}
-	if _, ok := s.ComponentAddr("nonesuch"); ok {
+	if _, ok := s.Addr("nonesuch"); ok {
 		t.Fatal("unknown component resolved")
 	}
 }
 
-// TestKillComponentByName: the supervisor's kill op crashes any local
-// component kind; unknown names refuse.
+// TestKillComponentByName: Kill crashes every locally hosted component
+// kind by name, after which Addr no longer resolves it; unknown names
+// refuse.
 func TestKillComponentByName(t *testing.T) {
-	s := startTranSend(t, func(c *Config) { c.Seed = 2 })
+	s := startTranSend(t, func(c *Config) {
+		c.Seed = 2
+		c.Managers = 2 // the standby is the manager victim; the primary keeps supervising
+	})
 	waitForWorkers(t, s, 3)
 	// Supervision must be live before the kill: the manager can only
 	// infer the death of a component it has heard from.
@@ -65,14 +62,23 @@ func TestKillComponentByName(t *testing.T) {
 		return s.Manager().Stats().Caches >= 2
 	})
 
-	victim := s.Workers()[0]
-	if err := s.KillComponent(victim); err != nil {
-		t.Fatalf("kill worker: %v", err)
+	for _, tc := range []struct{ kind, name string }{
+		{"worker", s.Workers()[0]},
+		{"cache", "cache0"},
+		{"front end", "fe0"},
+		{"manager replica", "manager-r1"},
+	} {
+		if _, ok := s.Addr(tc.name); !ok {
+			t.Fatalf("%s %s does not resolve before the kill", tc.kind, tc.name)
+		}
+		if err := s.Kill(tc.name); err != nil {
+			t.Fatalf("kill %s %s: %v", tc.kind, tc.name, err)
+		}
+		if addr, ok := s.Addr(tc.name); ok {
+			t.Fatalf("killed %s %s still resolves to %v", tc.kind, tc.name, addr)
+		}
 	}
-	if err := s.KillComponent("cache0"); err != nil {
-		t.Fatalf("kill cache: %v", err)
-	}
-	if err := s.KillComponent("nonesuch"); err == nil {
+	if err := s.Kill("nonesuch"); err == nil {
 		t.Fatal("killed a component that does not exist")
 	}
 	// The manager's process-peer duty brings the cache back (local
@@ -118,14 +124,15 @@ func TestRestartWorkerKeepsIdentity(t *testing.T) {
 
 	victim := s.Workers()[0]
 	before := s.WorkerStub(victim)
-	hb, _ := s.Manager().SupervisorFor(s.WorkerNode(victim))
+	addr, _ := s.Addr(victim)
+	hb, _ := s.Manager().SupervisorFor(addr.Node)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	ack, err := sup.Invoke(ctx, hb.Addr, supervisor.Command{
-		Op: supervisor.OpRestartWorker, Target: victim,
+		Op: supervisor.OpRestart, Target: victim,
 	})
 	if err != nil || !ack.OK {
-		t.Fatalf("restart-worker: ack=%+v err=%v", ack, err)
+		t.Fatalf("restart: ack=%+v err=%v", ack, err)
 	}
 	after := s.WorkerStub(victim)
 	if after == nil || after == before {

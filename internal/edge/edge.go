@@ -20,7 +20,9 @@
 // risked against it, success readmits, failure re-arms the timer.
 // Idempotent requests (GET/HEAD) that fail are retried once on a
 // different replica under a retry budget, so a SIGKILLed FE costs
-// clients nothing. Deadlines (X-Deadline-Ns) and trace ids
+// clients nothing; a request refused by a replica that has just begun
+// draining is retried once elsewhere whatever its method (when it has
+// no body to replay). Deadlines (X-Deadline-Ns) and trace ids
 // (X-Trace-Id) propagate both ways.
 package edge
 
@@ -100,7 +102,8 @@ type Config struct {
 	Pool PoolConfig
 	// RetryBudget bounds retries as a fraction of requests (§retry
 	// storms): a retry is spent only while
-	// retries+1 <= RetryBudget*requests+1. Zero disables retries.
+	// retries+1 <= RetryBudget*requests+1. Zero disables retries of
+	// failed attempts; a drain refusal is retried once regardless.
 	RetryBudget float64
 	// RequestTimeout bounds requests that arrive without their own
 	// X-Deadline-Ns. Default 30s.
@@ -432,11 +435,21 @@ func (e *Edge) forward(ctx context.Context, r *http.Request) (*http.Response, er
 			if he := resp.Header.Get(HeaderError); he == "overloaded" || he == "disabled" {
 				// A policy refusal from an alive backend — admission
 				// control shedding, or a request racing a drain. Not a
-				// health signal (ejecting a shedding replica collapses
-				// the pool exactly when the cluster is saturated) and
-				// not worth spending retry budget on: relay the typed
-				// reply and let the client's degrade path decide.
+				// health signal: ejecting a shedding replica collapses
+				// the pool exactly when the cluster is saturated.
 				pk.Done(true)
+				if he == "disabled" && prev == nil && r.ContentLength == 0 {
+					// The request beat the replica's Draining heartbeat
+					// here. The refusal comes before any work, so one
+					// retry elsewhere is safe for any method without a
+					// body to replay, and costs no retry budget.
+					prev = resp
+					exclude = pk.Key()
+					continue
+				}
+				// Shedding is not worth spending retry budget on: relay
+				// the typed reply and let the client's degrade path
+				// decide.
 				if prev != nil {
 					_ = prev.Body.Close()
 				}

@@ -218,6 +218,50 @@ func TestEdgeShedDoesNotEject(t *testing.T) {
 	}
 }
 
+// TestEdgeRetriesDrainRefusal: a request that reaches a replica after
+// Disable but before its Draining heartbeat reaches the edge is refused
+// ("disabled") before any work is done, so the edge retries it once on
+// another replica — whatever the method, without retry budget, and
+// without ejecting the draining replica.
+func TestEdgeRetriesDrainRefusal(t *testing.T) {
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(HeaderError, "disabled")
+		http.Error(w, "disabled", http.StatusServiceUnavailable)
+	}))
+	defer draining.Close()
+	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "ok")
+	}))
+	defer good.Close()
+
+	e := newTestEdge(t, 0) // no budget for transparent retry
+	e.ObserveBackend("n/fe0", "fe0", draining.Listener.Addr().String(), false)
+	e.ObserveBackend("n/fe1", "fe1", good.Listener.Addr().String(), false)
+
+	for i := 0; i < 8; i++ {
+		method := http.MethodGet
+		if i%2 == 1 {
+			method = http.MethodPost
+		}
+		req, _ := http.NewRequest(method, "http://"+e.HTTPAddr()+"/fetch?url=x", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || string(body) != "ok" {
+			t.Fatalf("%s %d: status %d body %q, want the other replica's 200", method, i, resp.StatusCode, body)
+		}
+	}
+	if st := e.PoolStats(); st.Ejects != 0 || st.Healthy != 2 {
+		t.Fatalf("a drain refusal ejected the backend: %+v", st)
+	}
+	if st := e.Stats(); st.Retries != 0 {
+		t.Fatalf("drain retries spent retry budget: %+v", st)
+	}
+}
+
 // TestEdgeRelaysFirst5xxWhenRetryFindsNoBackend: with a single (bad)
 // replica, a retried 5xx has nowhere to go — the client must get the
 // original upstream reply back, not a synthesized no-backends error.

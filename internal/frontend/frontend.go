@@ -475,7 +475,7 @@ func (fe *FrontEnd) saturated() bool {
 }
 
 // Do submits a request and waits for the response — the programmatic
-// equivalent of an HTTP arrival (cmd/transend adapts net/http onto
+// equivalent of an HTTP arrival (cmd/node adapts net/http onto
 // this). Under saturation it degrades before shedding: a stale cache
 // entry past its TTL (Response.Degraded) beats a refusal, and a
 // refusal (ErrOverloaded, fast and typed) beats a queued request that

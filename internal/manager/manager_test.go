@@ -26,15 +26,14 @@ type testSpawner struct {
 	net      *san.Network
 	interval time.Duration
 
-	mu          sync.Mutex
-	nextID      int
-	cancels     map[string]context.CancelFunc
-	nodes       map[string]string
-	spawns      atomic.Int64
-	reaps       atomic.Int64
-	feStarts    atomic.Int64
-	cacheStarts atomic.Int64
-	dedicated   atomic.Bool
+	mu        sync.Mutex
+	nextID    int
+	cancels   map[string]context.CancelFunc
+	nodes     map[string]string
+	restarts  map[string]int // component name -> Restart calls
+	spawns    atomic.Int64
+	reaps     atomic.Int64
+	dedicated atomic.Bool
 }
 
 func newTestSpawner(net *san.Network, interval time.Duration) *testSpawner {
@@ -43,12 +42,19 @@ func newTestSpawner(net *san.Network, interval time.Duration) *testSpawner {
 		interval: interval,
 		cancels:  make(map[string]context.CancelFunc),
 		nodes:    make(map[string]string),
+		restarts: make(map[string]int),
 	}
 	s.dedicated.Store(true)
 	return s
 }
 
-func (s *testSpawner) SpawnWorker(class string, overflow bool) (stub.WorkerInfo, error) {
+func (s *testSpawner) SpawnWorker(class string, overflow bool) error {
+	s.start(class, overflow)
+	return nil
+}
+
+// start spawns a worker stub and returns its registration info.
+func (s *testSpawner) start(class string, overflow bool) stub.WorkerInfo {
 	s.mu.Lock()
 	id := fmt.Sprintf("%s-%d", class, s.nextID)
 	node := fmt.Sprintf("nd%d", s.nextID)
@@ -66,7 +72,7 @@ func (s *testSpawner) SpawnWorker(class string, overflow bool) (stub.WorkerInfo,
 	s.mu.Unlock()
 	go ws.Run(ctx)
 	s.spawns.Add(1)
-	return ws.Info(), nil
+	return ws.Info()
 }
 
 // crash kills a worker abruptly: its node drops off the SAN before the
@@ -96,14 +102,17 @@ func (s *testSpawner) ReapWorker(id string) error {
 	return nil
 }
 
-func (s *testSpawner) RestartFrontEnd(name string) error {
-	s.feStarts.Add(1)
+func (s *testSpawner) Restart(name string) error {
+	s.mu.Lock()
+	s.restarts[name]++
+	s.mu.Unlock()
 	return nil
 }
 
-func (s *testSpawner) RestartCache(name string) error {
-	s.cacheStarts.Add(1)
-	return nil
+func (s *testSpawner) restartsOf(name string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.restarts[name]
 }
 
 func (s *testSpawner) HasDedicatedCapacity() bool { return s.dedicated.Load() }
@@ -154,9 +163,8 @@ func TestWorkerLifecycle(t *testing.T) {
 	m := startManager(t, net, sp, Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1})
 
 	// Spawn two workers out-of-band; they register via beacons.
-	info1, _ := sp.SpawnWorker("echo", false)
-	info2, _ := sp.SpawnWorker("echo", false)
-	_ = info2
+	info1 := sp.start("echo", false)
+	sp.start("echo", false)
 	waitFor(t, "registrations", func() bool { return m.Stats().Workers == 2 })
 
 	// Kill one silently (no deregister): TTL expiry plus the
@@ -362,7 +370,7 @@ func TestFrontEndProcessPeerRestart(t *testing.T) {
 	hb()
 	waitFor(t, "FE tracked", func() bool { return m.Stats().FrontEnds == 1 })
 	// Stop heartbeating: the manager restarts the FE after FETTL.
-	waitFor(t, "FE restart", func() bool { return sp.feStarts.Load() >= 1 })
+	waitFor(t, "FE restart", func() bool { return sp.restartsOf("fe0") >= 1 })
 	if m.Stats().FERestarts == 0 {
 		t.Fatal("restart not recorded in stats")
 	}
@@ -370,7 +378,7 @@ func TestFrontEndProcessPeerRestart(t *testing.T) {
 
 // TestCacheProcessPeerRestart: cache services heartbeat on the
 // control group; silence past CacheTTL triggers the manager's
-// RestartCache duty, exactly like front ends.
+// Restart duty, exactly like front ends.
 func TestCacheProcessPeerRestart(t *testing.T) {
 	net := san.NewNetwork(1)
 	sp := newTestSpawner(net, tick)
@@ -386,7 +394,7 @@ func TestCacheProcessPeerRestart(t *testing.T) {
 		return m.Stats().Caches == 1
 	})
 	// Stop heartbeating: the manager restarts the cache after CacheTTL.
-	waitFor(t, "cache restart", func() bool { return sp.cacheStarts.Load() >= 1 })
+	waitFor(t, "cache restart", func() bool { return sp.restartsOf("cache0") >= 1 })
 	if m.Stats().CacheRestarts == 0 {
 		t.Fatal("cache restart not recorded in stats")
 	}
@@ -398,7 +406,7 @@ func TestDeregisterLowersReplicaFloor(t *testing.T) {
 	defer sp.stopAll()
 	m := startManager(t, net, sp, Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1})
 
-	info, _ := sp.SpawnWorker("echo", false)
+	info := sp.start("echo", false)
 	waitFor(t, "registered", func() bool { return m.Stats().Workers == 1 })
 
 	// Clean deregistration must NOT trigger a replacement.

@@ -18,10 +18,8 @@ func TestManagerWorkerLifecycleOverWire(t *testing.T) {
 	defer sp.stopAll()
 	m := startManager(t, net, sp, Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1})
 
-	info1, _ := sp.SpawnWorker("echo", false)
-	if _, err := sp.SpawnWorker("echo", false); err != nil {
-		t.Fatal(err)
-	}
+	info1 := sp.start("echo", false)
+	sp.start("echo", false)
 	waitFor(t, "registrations over wire", func() bool { return m.Stats().Workers == 2 })
 
 	// Crash one silently: timeout inference and the replica floor must

@@ -467,7 +467,7 @@ func (m *Monitor) rollOne(ctx context.Context, class string, w stub.WorkerInfo, 
 	cmd := supervisor.Command{
 		ID:     m.cmdSeq,
 		Origin: m.addr().String(),
-		Op:     supervisor.OpRestartWorker,
+		Op:     supervisor.OpRestart,
 		Target: w.ID,
 	}
 	m.mu.Unlock()

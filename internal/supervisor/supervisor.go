@@ -39,16 +39,12 @@ const (
 
 // Command operations.
 const (
-	// OpRestartFrontEnd restarts the named front end hosted by this
-	// supervisor's process (kill any lingering instance, spawn a fresh
-	// one under the same name).
-	OpRestartFrontEnd = "restart-frontend"
-	// OpRestartCache restarts the named cache partition (empty — it is
-	// a cache — but the address and key range come back).
-	OpRestartCache = "restart-cache"
-	// OpRestartWorker kills and respawns the worker with the given id
-	// under the same id and class — the hot-upgrade restart step.
-	OpRestartWorker = "restart-worker"
+	// OpRestart stops the named component hosted by this supervisor's
+	// process and respawns it under the same name: a front end or cache
+	// partition its watcher found silent (a cache comes back empty, but
+	// its address and key range return), or a worker being hot-upgraded
+	// (same id and class).
+	OpRestart = "restart"
 	// OpSpawnWorker starts a fresh worker of the target class in this
 	// process (cross-process replacement spawns).
 	OpSpawnWorker = "spawn-worker"
@@ -119,17 +115,16 @@ type Ack struct {
 // component another process hosts is that process's supervisor's
 // business.
 type Host interface {
-	RestartFrontEnd(name string) error
-	RestartCache(name string) error
-	// RestartWorker kills and respawns the worker with the same id.
-	RestartWorker(id string) error
-	// SpawnWorker starts a fresh worker of class.
-	SpawnWorker(class string) error
-	// KillComponent crashes a hosted component without respawn.
-	KillComponent(name string) error
-	// ComponentAddr resolves a hosted component's SAN address (for
+	// Restart stops a hosted component and respawns it by name.
+	Restart(name string) error
+	// Kill crashes a hosted component without respawn.
+	Kill(name string) error
+	// Addr resolves a live hosted component's SAN address (for
 	// forwarded disable/enable control messages).
-	ComponentAddr(name string) (san.Addr, bool)
+	Addr(name string) (san.Addr, bool)
+	// SpawnWorker starts a fresh worker of class; overflow selects the
+	// overflow pool, and a full dedicated pool recruits it anyway.
+	SpawnWorker(class string, overflow bool) error
 }
 
 // Config assembles a supervisor.
@@ -395,16 +390,12 @@ func (s *Supervisor) execute(cmd Command) Ack {
 		err = fmt.Errorf("supervisor: no host wired")
 	} else {
 		switch cmd.Op {
-		case OpRestartFrontEnd:
-			err = s.cfg.Host.RestartFrontEnd(cmd.Target)
-		case OpRestartCache:
-			err = s.cfg.Host.RestartCache(cmd.Target)
-		case OpRestartWorker:
-			err = s.cfg.Host.RestartWorker(cmd.Target)
+		case OpRestart:
+			err = s.cfg.Host.Restart(cmd.Target)
 		case OpSpawnWorker:
-			err = s.cfg.Host.SpawnWorker(cmd.Target)
+			err = s.cfg.Host.SpawnWorker(cmd.Target, false)
 		case OpKill:
-			err = s.cfg.Host.KillComponent(cmd.Target)
+			err = s.cfg.Host.Kill(cmd.Target)
 		case OpDisable:
 			err = s.forwardControl(cmd.Target, s.cfg.DisableKind)
 		case OpEnable:
@@ -426,7 +417,7 @@ func (s *Supervisor) forwardControl(name, kind string) error {
 	if kind == "" {
 		return fmt.Errorf("supervisor: no control kind configured")
 	}
-	addr, ok := s.cfg.Host.ComponentAddr(name)
+	addr, ok := s.cfg.Host.Addr(name)
 	if !ok {
 		return fmt.Errorf("supervisor: unknown component %s", name)
 	}
