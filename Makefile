@@ -17,9 +17,11 @@ test-short:
 	$(GO) test -short ./...
 
 # Race pass over the packages with real concurrency on the hot path,
-# plus the component lifecycle (core) and the supervisor daemon.
+# plus the component lifecycle (core), the supervisor daemon, and the
+# stub/manager/monitor/search protocols, whose decoded bodies may be
+# lease-backed views shared across goroutines.
 race:
-	$(GO) test -race -short ./internal/obs ./internal/san ./internal/vcache ./internal/frontend ./internal/edge ./internal/transport ./internal/chaos ./internal/core ./internal/supervisor
+	$(GO) test -race -short ./internal/obs ./internal/san ./internal/vcache ./internal/frontend ./internal/edge ./internal/transport ./internal/chaos ./internal/core ./internal/supervisor ./internal/stub ./internal/manager ./internal/monitor ./internal/search
 
 # Coverage with the committed-baseline regression gate (satellite:
 # fails if total coverage drops >2 points from coverage_baseline.txt).

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -159,7 +160,7 @@ func (nullWorker) Process(ctx context.Context, task *tacc.Task) (tacc.Blob, erro
 // ingestion rate — the §4.6 capacity experiment's inner loop. The
 // paper needs 1800/s; report the sustained rate.
 func BenchmarkManagerAnnouncements(b *testing.B) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	m := manager.New(manager.Config{
 		Node: "mgr", Net: net,
 		BeaconInterval: time.Hour, // isolate report handling
@@ -171,7 +172,7 @@ func BenchmarkManagerAnnouncements(b *testing.B) {
 	go m.Run(ctx)
 	wep := net.Endpoint(san.Addr{Node: "w", Proc: "w0"}, 1<<16)
 	wep.Send(m.Addr(), stub.MsgRegister, stub.RegisterMsg{Info: stub.WorkerInfo{
-		ID: "w0", Class: "null", Addr: wep.Addr(), Node: "w"}}, 64)
+		ID: "w0", Class: "null", Addr: wep.Addr(), Node: "w"}})
 	deadline := time.Now().Add(2 * time.Second)
 	for m.Stats().Workers == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -185,7 +186,7 @@ func BenchmarkManagerAnnouncements(b *testing.B) {
 		for sent-int(m.Stats().ReportsHandled) > 2048 {
 			time.Sleep(50 * time.Microsecond)
 		}
-		if wep.Send(m.Addr(), stub.MsgLoadReport, report, 64) == nil {
+		if wep.Send(m.Addr(), stub.MsgLoadReport, report) == nil {
 			sent++
 		}
 	}
@@ -307,12 +308,10 @@ func BenchmarkChaosKillRestartCycle(b *testing.B) {
 
 // --- Wire-path benchmarks -------------------------------------------------
 //
-// Matched passthrough/wire pairs over the same traffic shape, so the
-// serialization overhead of wire mode is a direct A/B read (the
-// acceptance bar: wire Send ≤ 1.5x passthrough in the parallel SAN
-// bench, steady-state encode allocs ~0 via pooling).
+// SAN sends and multicasts through the production codec, over bodies
+// from the nil control signal up to a full beacon.
 
-// benchSANSendParallel is the shared body of the send pairs: many
+// benchSANSendParallel is the shared body of the send benchmarks: many
 // concurrent sender/receiver pairs, 1% loss to keep the rng hot,
 // mirroring san.BenchmarkSANSendParallel's traffic shape.
 func benchSANSendParallel(b *testing.B, net *san.Network, kind string, body any) {
@@ -330,28 +329,23 @@ func benchSANSendParallel(b *testing.B, net *san.Network, kind string, body any)
 			}
 		}()
 		for pb.Next() {
-			if err := src.Send(dst.Addr(), kind, body, 1024); err != nil {
+			if err := src.Send(dst.Addr(), kind, body); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkSANSendParallelPassthrough / Wire is the acceptance pair:
-// identical traffic to san.BenchmarkSANSendParallel, with and without
-// the codec on the path (wire must stay ≤ 1.5x passthrough).
-func BenchmarkSANSendParallelPassthrough(b *testing.B) {
-	benchSANSendParallel(b, san.NewNetwork(1), "d", nil)
-}
-
+// BenchmarkSANSendParallelWire sends bodiless messages: the SAN's own
+// per-send cost, with the codec bypassed for nil bodies.
 func BenchmarkSANSendParallelWire(b *testing.B) {
-	benchSANSendParallel(b, san.NewNetwork(1, san.WithCodec(stub.WireCodec{})), "d", nil)
+	benchSANSendParallel(b, san.NewNetwork(1, stub.WireCodec{}), "d", nil)
 }
 
 // BenchmarkSANSendParallelWireSpawnReq puts the smallest real
 // control-plane body on the wire path (encode + per-delivery decode).
 func BenchmarkSANSendParallelWireSpawnReq(b *testing.B) {
-	benchSANSendParallel(b, san.NewNetwork(1, san.WithCodec(stub.WireCodec{})),
+	benchSANSendParallel(b, san.NewNetwork(1, stub.WireCodec{}),
 		stub.MsgSpawnReq, stub.SpawnReq{Class: "echo"})
 }
 
@@ -371,7 +365,7 @@ func wireLoadReport() stub.LoadReport {
 // BenchmarkSANSendParallelWireLoadReport measures the realistic worst
 // case of the periodic control plane: a full load report per send.
 func BenchmarkSANSendParallelWireLoadReport(b *testing.B) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(1, stub.WireCodec{})
 	net.SetLoss(0.01, 0)
 	report := wireLoadReport()
 	var next atomic.Int64
@@ -386,16 +380,18 @@ func BenchmarkSANSendParallelWireLoadReport(b *testing.B) {
 			}
 		}()
 		for pb.Next() {
-			if err := src.Send(dst.Addr(), stub.MsgLoadReport, report, 64); err != nil {
+			if err := src.Send(dst.Addr(), stub.MsgLoadReport, report); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// benchSANMulticast is the shared body of the multicast pair: 16-member
-// group, beacon-shaped body — the manager's actual fanout.
-func benchSANMulticast(b *testing.B, net *san.Network) {
+// BenchmarkSANMulticastBeaconWire: the encode-once fanout over a
+// 16-member group with a beacon-shaped body — the manager's actual
+// fanout.
+func BenchmarkSANMulticastBeaconWire(b *testing.B) {
+	net := san.NewNetwork(1, stub.WireCodec{})
 	const members = 16
 	workers := []stub.WorkerInfo{wireLoadReport().Info}
 	beacon := stub.Beacon{Manager: san.Addr{Node: "mgr", Proc: "manager"}, Seq: 1, Workers: workers}
@@ -411,24 +407,11 @@ func benchSANMulticast(b *testing.B, net *san.Network) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src.Multicast("grp", stub.MsgBeacon, beacon, 128)
+		src.Multicast("grp", stub.MsgBeacon, beacon)
 	}
-	if net.WireMode() {
-		st := net.Stats()
-		if st.WireEncodes != uint64(b.N) {
-			b.Fatalf("encode-once violated: %d encodes for %d multicasts", st.WireEncodes, b.N)
-		}
+	if st := net.Stats(); st.WireEncodes != uint64(b.N) {
+		b.Fatalf("encode-once violated: %d encodes for %d multicasts", st.WireEncodes, b.N)
 	}
-}
-
-// BenchmarkSANMulticastBeaconPassthrough / Wire: the encode-once
-// fanout pair.
-func BenchmarkSANMulticastBeaconPassthrough(b *testing.B) {
-	benchSANMulticast(b, san.NewNetwork(1))
-}
-
-func BenchmarkSANMulticastBeaconWire(b *testing.B) {
-	benchSANMulticast(b, san.NewNetwork(1, san.WithCodec(stub.WireCodec{})))
 }
 
 // BenchmarkHotBotQuery measures fan-out query latency over a deployed
@@ -436,7 +419,7 @@ func BenchmarkSANMulticastBeaconWire(b *testing.B) {
 func BenchmarkHotBotQuery(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	docs := search.GenerateCorpus(rng, 10000, 2000)
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, search.WireCodec{})
 	cl := cluster.New(net)
 	for i := 0; i < 8; i++ {
 		cl.AddNode(fmt.Sprintf("n%d", i), false)
@@ -556,10 +539,13 @@ func BenchmarkFrameDecodeData(b *testing.B) {
 
 // benchBridgeSend measures one-way sends across two bridged networks
 // over loopback TCP, batched (default microsecond-deadline writer) or
-// unbatched (every frame its own write syscall).
+// unbatched (every frame its own write syscall). The sender keeps at
+// most bridgeSendWindow frames in flight: one that outruns the socket
+// fills the peer's write queue, and the transport then refuses sends
+// (backpressure) instead of buffering them.
 func benchBridgeSend(b *testing.B, batched bool) {
-	netA := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	netB := san.NewNetwork(2, san.WithCodec(stub.WireCodec{}))
+	netA := san.NewNetwork(1, stub.WireCodec{})
+	netB := san.NewNetwork(2, stub.WireCodec{})
 	delay := time.Duration(0) // transport default (batched)
 	if !batched {
 		delay = -1 // flush every frame
@@ -579,15 +565,18 @@ func benchBridgeSend(b *testing.B, batched bool) {
 	}
 	src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "src"}, 8)
 	dst := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "dst"}, 1<<16)
+	var recv atomic.Int64
 	go func() {
-		for range dst.Inbox() {
+		for msg := range dst.Inbox() {
+			msg.Release()
+			recv.Add(1)
 		}
 	}()
 	// Teach A a route for dst: routes are learned from the source
 	// address of RECEIVED frames, so dst must send something back
 	// once; after that the benchmark loop is routed, not flooded.
 	report := wireLoadReport()
-	if err := dst.Send(src.Addr(), stub.MsgLoadReport, report, 64); err != nil {
+	if err := dst.Send(src.Addr(), stub.MsgLoadReport, report); err != nil {
 		b.Fatal(err)
 	}
 	for range src.Inbox() {
@@ -596,7 +585,10 @@ func benchBridgeSend(b *testing.B, batched bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := src.Send(dst.Addr(), stub.MsgLoadReport, report, 64); err != nil {
+		if err := awaitSendWindow(int64(i), &recv); err != nil {
+			b.Fatal(err)
+		}
+		if err := src.Send(dst.Addr(), stub.MsgLoadReport, report); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -607,6 +599,22 @@ func benchBridgeSend(b *testing.B, batched bool) {
 	}
 	netA.Close()
 	netB.Close()
+}
+
+// bridgeSendWindow bounds benchBridgeSend's frames in flight, far
+// below the transport's DefaultMaxBatchBytes of load-report frames.
+const bridgeSendWindow = 1024
+
+// awaitSendWindow blocks until fewer than bridgeSendWindow of the sent
+// frames are still unreceived, and fails if the receiver makes no
+// progress for five seconds.
+func awaitSendWindow(sent int64, recv *atomic.Int64) error {
+	for start := time.Now(); sent-recv.Load() >= bridgeSendWindow; runtime.Gosched() {
+		if time.Since(start) > 5*time.Second {
+			return fmt.Errorf("receiver stalled with %d frames in flight", sent-recv.Load())
+		}
+	}
+	return nil
 }
 
 // BenchmarkBridgeSendBatched / Unbatched is the coalescing A/B: the

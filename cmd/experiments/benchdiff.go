@@ -19,18 +19,17 @@ import (
 // gatedMetrics lists the seed-deterministic metrics and the relative
 // drift each tolerates (0.20 = fail beyond ±20%).
 var gatedMetrics = map[string]float64{
-	"fig5_gif_mean_bytes":         0.20,
-	"fig6_arrivals_per_hour":      0.20,
-	"fig8_spawns_per_run":         0.20,
-	"table2_req_s_per_distiller":  0.20,
-	"cache_hit_rate":              0.20,
-	"oscillation_spread_ratio":    0.20,
-	"sansat_beacon_loss":          0.20,
-	"wire_encode_append_allocs":   0.20,
-	"wire_decode_allocs":          0.20,
-	"san_send_passthrough_allocs": 0.20,
-	"san_send_wire_allocs":        0.20,
-	"partition_get_allocs":        0.20,
+	"fig5_gif_mean_bytes":        0.20,
+	"fig6_arrivals_per_hour":     0.20,
+	"fig8_spawns_per_run":        0.20,
+	"table2_req_s_per_distiller": 0.20,
+	"cache_hit_rate":             0.20,
+	"oscillation_spread_ratio":   0.20,
+	"sansat_beacon_loss":         0.20,
+	"wire_encode_append_allocs":  0.20,
+	"wire_decode_allocs":         0.20,
+	"san_send_wire_allocs":       0.20,
+	"partition_get_allocs":       0.20,
 	// Transport framing: steady-state encode and the zero-copy
 	// streaming decode both stay at 0 allocs/op (zeroSlack guards a
 	// zero baseline — a regression to >=1 alloc/op means the

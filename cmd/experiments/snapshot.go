@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,9 +133,9 @@ func writeSnapshot(path string, seed int64) error {
 		fmt.Fprintln(os.Stderr, "snapshot: latency profile failed:", err)
 	}
 
-	// Hot-path micro costs: SAN send (passthrough vs wire), partition
-	// get, wire encode/decode — ns/op is hardware-bound (tracked, not
-	// gated); allocs/op is deterministic and regression-gated.
+	// Hot-path micro costs: SAN send, partition get, wire
+	// encode/decode — ns/op is hardware-bound (tracked, not gated);
+	// allocs/op is deterministic and regression-gated.
 	measureHotPaths(m)
 
 	// Zero-copy data plane: the FE→cache→FE blob relay at the three
@@ -186,8 +187,8 @@ func recordMem(m map[string]float64, name string, r testing.BenchmarkResult) {
 
 // measureHotPaths benchmarks the request hot path's building blocks
 // (via testing.Benchmark, so the snapshot needs no `go test` run):
-// the SAN send pair with and without the wire codec, the encode-once
-// codec primitives, and the sharded cache partition get.
+// the SAN send, the encode-once codec primitives, and the sharded
+// cache partition get.
 func measureHotPaths(m map[string]float64) {
 	// Wire codec primitives over a load report (the highest-rate
 	// control-plane message).
@@ -245,8 +246,8 @@ func measureHotPaths(m map[string]float64) {
 	// write per frame (ns tracked for the trajectory, not gated —
 	// socket costs are host-bound).
 	bridgeBench := func(batched bool) testing.BenchmarkResult {
-		netA := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-		netB := san.NewNetwork(2, san.WithCodec(stub.WireCodec{}))
+		netA := san.NewNetwork(1, stub.WireCodec{})
+		netB := san.NewNetwork(2, stub.WireCodec{})
 		defer netA.Close()
 		defer netB.Close()
 		delay := time.Duration(0)
@@ -271,46 +272,55 @@ func measureHotPaths(m map[string]float64) {
 		}
 		src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "src"}, 8)
 		dst := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "dst"}, 1<<16)
+		var recv atomic.Int64
 		go func() {
-			for range dst.Inbox() {
+			for msg := range dst.Inbox() {
+				msg.Release()
+				recv.Add(1)
 			}
 		}()
 		// Teach A a route for dst (routes are learned from received
 		// frames, so dst must send once), then measure routed sends.
-		_ = dst.Send(src.Addr(), kind, body, 64)
+		_ = dst.Send(src.Addr(), kind, body)
 		for range src.Inbox() {
 			break
 		}
-		return testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := src.Send(dst.Addr(), kind, body, 64); err != nil {
-					b.Fatal(err)
+		// testing.Benchmark has no test context for b.Fatal: the first
+		// error stops the loop, and the metric goes unrecorded.
+		var sent int64
+		var sendErr error
+		r := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N && sendErr == nil; i++ {
+				if sendErr = awaitSendWindow(sent, &recv); sendErr == nil {
+					sendErr = src.Send(dst.Addr(), kind, body)
+					sent++
 				}
 			}
 		})
+		if sendErr != nil {
+			fmt.Fprintln(os.Stderr, "snapshot: bridge send:", sendErr)
+			return testing.BenchmarkResult{}
+		}
+		return r
 	}
 	record(m, "bridge_send_batched", bridgeBench(true))
 	record(m, "bridge_send_unbatched", bridgeBench(false))
 
-	// SAN send pair: identical traffic, codec off vs on.
-	sendBench := func(opts ...san.Option) testing.BenchmarkResult {
-		n := san.NewNetwork(1, opts...)
-		src := n.Endpoint(san.Addr{Node: "s", Proc: "src"}, 8)
-		dst := n.Endpoint(san.Addr{Node: "d", Proc: "dst"}, 1<<16)
-		go func() {
-			for range dst.Inbox() {
+	// SAN send of a bodiless message: the network's own per-send cost.
+	n := san.NewNetwork(1, stub.WireCodec{})
+	src := n.Endpoint(san.Addr{Node: "s", Proc: "src"}, 8)
+	dst := n.Endpoint(san.Addr{Node: "d", Proc: "dst"}, 1<<16)
+	go func() {
+		for range dst.Inbox() {
+		}
+	}()
+	record(m, "san_send_wire", testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := src.Send(dst.Addr(), "d", nil); err != nil {
+				b.Fatal(err)
 			}
-		}()
-		return testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := src.Send(dst.Addr(), "d", nil, 1024); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	record(m, "san_send_passthrough", sendBench())
-	record(m, "san_send_wire", sendBench(san.WithCodec(stub.WireCodec{})))
+		}
+	}))
 
 	// Trace machinery: ns per span recorded into the ring on a sampled
 	// trace — the per-hop price a request pays when sampling fires.
@@ -344,6 +354,23 @@ func measureHotPaths(m map[string]float64) {
 	}))
 }
 
+// sendWindow bounds the frames the bridge bench keeps in flight: a
+// sender that outruns the socket fills the peer's write queue, and the
+// transport then refuses sends (backpressure). 1024 load reports stay
+// far below DefaultMaxBatchBytes.
+const sendWindow = 1024
+
+// awaitSendWindow blocks until fewer than sendWindow sent frames are
+// unreceived; it fails if the receiver stalls for five seconds.
+func awaitSendWindow(sent int64, recv *atomic.Int64) error {
+	for start := time.Now(); sent-recv.Load() >= sendWindow; runtime.Gosched() {
+		if time.Since(start) > 5*time.Second {
+			return fmt.Errorf("receiver stalled with %d frames in flight", sent-recv.Load())
+		}
+	}
+	return nil
+}
+
 // measureBlobRelay benchmarks one cached-object fetch end to end over
 // a real two-bridge SAN (client → wire → cache partition → wire →
 // client) at 4 KB, 64 KB, and 512 KB. The small sizes ride a single
@@ -351,8 +378,8 @@ func measureHotPaths(m map[string]float64) {
 // client zero-copy, so <size>_allocs / <size>_bytes are the data
 // plane's whole per-request footprint.
 func measureBlobRelay(m map[string]float64) {
-	netA := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	netB := san.NewNetwork(2, san.WithCodec(stub.WireCodec{}))
+	netA := san.NewNetwork(1, stub.WireCodec{})
+	netB := san.NewNetwork(2, stub.WireCodec{})
 	defer netA.Close()
 	defer netB.Close()
 	ba, err := transport.New(transport.Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "relay-a"})
@@ -426,7 +453,7 @@ func measureEdgeProxy(m map[string]float64) {
 	}))
 	defer backend.Close()
 
-	n := san.NewNetwork(1)
+	n := san.NewNetwork(1, stub.WireCodec{})
 	defer n.Close()
 	eg, err := edge.New(edge.Config{
 		Name: "edge", Node: "snapnode", Net: n, Listen: "127.0.0.1:0",

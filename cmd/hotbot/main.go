@@ -41,7 +41,7 @@ func main() {
 	log.Printf("hotbot: indexing %d documents across %d partitions...", *docsN, *partitions)
 	docs := search.GenerateCorpus(rng, *docsN, 8000)
 
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, search.WireCodec{})
 	cl := cluster.New(net)
 	for i := 0; i < *partitions; i++ {
 		cl.AddNode(fmt.Sprintf("node%d", i), false)

@@ -670,7 +670,7 @@ func serveHTTP(sys *core.System, addr string) *http.Server {
 				}
 			}
 			fmt.Fprintf(w, "supervisor(local): %s %+v\n", sys.Supervisor().Addr(), sys.Supervisor().Stats())
-			fmt.Fprintf(w, "san: wire=%v %+v\n", sys.Net.WireMode(), sys.Net.Stats())
+			fmt.Fprintf(w, "san: %+v\n", sys.Net.Stats())
 			fmt.Fprintf(w, "bridge: %+v\n", sys.Bridge.Stats())
 			return
 		}

@@ -30,7 +30,7 @@ func main() {
 }
 
 func runMode(mode search.FailureMode, docs []search.Doc) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, search.WireCodec{})
 	cl := cluster.New(net)
 	const partitions = 13 // half of HotBot's 26 nodes
 	for i := 0; i < partitions; i++ {

@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -62,5 +63,60 @@ func TestScheduleTimelineReproducible(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("fault timelines differ between runs of the same schedule:\nrun1: %v\nrun2: %v", first, second)
+	}
+}
+
+// TestScheduleDeathsReproducible: a seeded fault schedule run twice on
+// fresh systems built from the same seed yields the identical fault
+// timeline and the same set of process deaths, every live message
+// crosses the SAN through the codec without a serialization error, and
+// both runs converge back to steady state.
+func TestScheduleDeathsReproducible(t *testing.T) {
+	sched := Schedule{Seed: 7, Events: []Event{
+		{At: 40 * time.Millisecond, Kind: KillWorker, Slot: 0},
+		{At: 120 * time.Millisecond, Kind: LossBurst, Dur: 60 * time.Millisecond, P2P: 0.2, Mcast: 0.4},
+		{At: 220 * time.Millisecond, Kind: PartitionCaches, Dur: 80 * time.Millisecond},
+		{At: 380 * time.Millisecond, Kind: KillFrontEnd, Slot: 0},
+	}}
+
+	type outcome struct {
+		faults []string
+		exits  []string
+	}
+	run := func() outcome {
+		h, err := New(Config{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Stop()
+		h.Execute(context.Background(), sched)
+		if !h.AwaitSteady(15 * time.Second) {
+			t.Fatalf("run did not return to steady state:\n%v", h.Timeline())
+		}
+		st := h.Net().Stats()
+		if st.WireEncodes == 0 || st.WireDecodes == 0 {
+			t.Fatalf("run never exercised the codec: %+v", st)
+		}
+		if st.WireErrors != 0 {
+			t.Fatalf("codec rejected %d live messages (missing body layout?)", st.WireErrors)
+		}
+		var out outcome
+		out.faults = h.FaultTimeline()
+		for _, e := range h.Timeline() {
+			if e.Kind == "exit" {
+				out.exits = append(out.exits, e.Name)
+			}
+		}
+		sort.Strings(out.exits)
+		return out
+	}
+
+	first := run()
+	second := run()
+	if !reflect.DeepEqual(first.faults, second.faults) {
+		t.Fatalf("fault timelines differ:\nrun1: %v\nrun2: %v", first.faults, second.faults)
+	}
+	if !reflect.DeepEqual(first.exits, second.exits) {
+		t.Fatalf("process deaths differ:\nrun1: %v\nrun2: %v", first.exits, second.exits)
 	}
 }

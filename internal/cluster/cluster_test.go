@@ -8,10 +8,11 @@ import (
 	"time"
 
 	"repro/internal/san"
+	"repro/internal/stub"
 )
 
 func newTestCluster() *Cluster {
-	return New(san.NewNetwork(1))
+	return New(san.NewNetwork(1, stub.WireCodec{}))
 }
 
 func blockUntilCancel(name string) ProcessFunc {
@@ -67,7 +68,7 @@ func TestSpawnErrors(t *testing.T) {
 }
 
 func TestKillNodeCancelsProcessesAndDropsEndpoints(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	c := New(net)
 	c.AddNode("n1", false)
 	c.AddNode("n2", false)

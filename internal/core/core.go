@@ -106,8 +106,7 @@ func ParseRoles(s string) (Roles, error) {
 
 // TransportConfig attaches the SAN to a socket bridge
 // (internal/transport) so the process can splice into a cluster that
-// spans real OS processes. A non-empty Listen enables it and forces
-// wire mode.
+// spans real OS processes. A non-empty Listen enables it.
 type TransportConfig struct {
 	// Listen is the bridge's socket: "tcp:host:port" or "unix:/path"
 	// (port 0 picks a free port).
@@ -132,10 +131,8 @@ type TransportConfig struct {
 type Config struct {
 	Seed int64
 
-	// WireMode serializes every SAN message body through the stub wire
-	// codec on send and decodes it on delivery, so inter-process
-	// messages cross the SAN as bytes exactly as they would a
-	// production interconnect. Chaos runs enable this by default.
+	// Deprecated: ignored. The SAN always serializes message bodies
+	// through the stub wire codec.
 	WireMode bool
 
 	// Roles selects the components this process hosts (zero = all).
@@ -359,22 +356,12 @@ func CacheAddrs(nodePrefix string, cacheParts, dedicatedNodes int) map[string]sa
 // Start builds and boots a system.
 func Start(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Transport.Listen != "" {
-		cfg.WireMode = true // bodies must be bytes to cross processes
-	}
 	s := &System{
 		cfg:        cfg,
 		comps:      make(map[string]*component),
 		cacheNodes: make(map[string]san.Addr),
 	}
-	var netOpts []san.Option
-	if cfg.WireMode {
-		// Decode views ride along with the codec: []byte bodies alias
-		// pooled receive buffers (see san.WithDecodeViews), and every
-		// consumer in this tree honors the Lease/Release contract.
-		netOpts = append(netOpts, san.WithCodec(stub.WireCodec{}), san.WithDecodeViews(true))
-	}
-	s.Net = san.NewNetwork(cfg.Seed, netOpts...)
+	s.Net = san.NewNetwork(cfg.Seed, stub.WireCodec{})
 	s.configureObs()
 	if cfg.Transport.Listen != "" {
 		id := cfg.Transport.ID

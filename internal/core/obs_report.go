@@ -42,7 +42,7 @@ func (r *obsReporter) Run(ctx context.Context) error {
 	flush := func() {
 		if spans := tracer.TakeNew(spanDigestBatch); len(spans) > 0 {
 			ep.Multicast(stub.GroupReports, stub.MsgSpanDigest,
-				stub.SpanDigest{Spans: spans}, len(spans)*64+32)
+				stub.SpanDigest{Spans: spans})
 		}
 	}
 	for {

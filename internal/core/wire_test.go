@@ -7,17 +7,14 @@ import (
 	"repro/internal/trace"
 )
 
-// TestWireModeEndToEnd boots the full TranSend stack with the SAN in
-// wire mode and drives a real distillation request: every message on
-// the path — beacons, registrations, load reports, task dispatch,
-// cache get/put/inject, heartbeats, monitor reports — crosses the SAN
-// as codec bytes. WireErrors == 0 proves every live message kind has a
-// wire layout (nothing silently bypasses or fails serialization).
+// TestWireModeEndToEnd boots the full TranSend stack and drives a real
+// distillation request: every message on the path — beacons,
+// registrations, load reports, task dispatch, cache get/put/inject,
+// heartbeats, monitor reports — crosses the SAN as codec bytes.
+// WireErrors == 0 proves every live message kind has a wire layout
+// (nothing silently bypasses or fails serialization).
 func TestWireModeEndToEnd(t *testing.T) {
-	s := startTranSend(t, func(cfg *Config) { cfg.WireMode = true })
-	if !s.Net.WireMode() {
-		t.Fatal("WireMode config did not install the codec")
-	}
+	s := startTranSend(t, nil)
 	waitForWorkers(t, s, 3)
 
 	url := trace.ObjectURL(42, media.MIMESJPG)

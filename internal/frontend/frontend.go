@@ -224,8 +224,8 @@ type FrontEnd struct {
 
 	running  atomic.Bool
 	runDone  atomic.Pointer[chan struct{}] // closed when the current Run exits
-	inflight atomic.Int64  // admitted requests currently queued or executing
-	lastBP   atomic.Uint64 // last BackpressureFn sample (delta = congestion)
+	inflight atomic.Int64                  // admitted requests currently queued or executing
+	lastBP   atomic.Uint64                 // last BackpressureFn sample (delta = congestion)
 	stats    struct {
 		requests, cacheDistilled, cacheOriginal, originFetches atomic.Uint64
 		distilled, passedThrough, fallbacks, errors            atomic.Uint64
@@ -420,7 +420,7 @@ func (fe *FrontEnd) heartbeat(ep *san.Endpoint) {
 		Node:     fe.cfg.Node,
 		HTTPAddr: fe.cfg.HTTPAddr,
 		Draining: draining,
-	}, 64)
+	})
 	st := fe.Stats()
 	ep.Multicast(stub.GroupReports, stub.MsgMonReport, stub.StatusReport{
 		Component: fe.cfg.Name,
@@ -434,7 +434,7 @@ func (fe *FrontEnd) heartbeat(ep *san.Endpoint) {
 			"shed":      float64(st.Shed),
 			"degraded":  float64(st.DegradedServes),
 		},
-	}, 96)
+	})
 }
 
 // ErrDisabled is returned while the front end is disabled for a hot

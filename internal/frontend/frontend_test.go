@@ -22,7 +22,7 @@ import (
 // harness is added by the test).
 func startFE(t *testing.T, mutate func(*Config)) (*FrontEnd, *cluster.Cluster, *origin.Static) {
 	t.Helper()
-	return startFEOn(t, san.NewNetwork(1), mutate)
+	return startFEOn(t, san.NewNetwork(1, stub.WireCodec{}), mutate)
 }
 
 // startFEOn is startFE over a caller-built network (e.g. one with the
@@ -250,14 +250,14 @@ func TestDisabledFrontEndRejects(t *testing.T) {
 	fe, _, static := startFE(t, nil)
 	static.Put("http://a/x.bin", tacc.Blob{MIME: media.MIMEOther, Data: make([]byte, 200)})
 	mon := fe.cfg.Net.Endpoint(san.Addr{Node: "m", Proc: "mon"}, 8)
-	if err := mon.Send(fe.Addr(), stub.MsgDisable, nil, 8); err != nil {
+	if err := mon.Send(fe.Addr(), stub.MsgDisable, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "disabled", func() bool {
 		_, err := fe.Do(context.Background(), Request{URL: "http://a/x.bin"})
 		return err == ErrDisabled
 	})
-	if err := mon.Send(fe.Addr(), stub.MsgEnable, nil, 8); err != nil {
+	if err := mon.Send(fe.Addr(), stub.MsgEnable, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "re-enabled", func() bool {

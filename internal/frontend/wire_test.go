@@ -11,11 +11,11 @@ import (
 )
 
 // TestFrontEndCachePathOverWire drives the front end's origin + cache
-// path over a wire-mode SAN: the vcache get/put protocol (byte
-// payloads included) must round-trip through the codec, and repeated
-// requests must hit the cache exactly as in passthrough mode.
+// path through the SAN's codec: the vcache get/put protocol (byte
+// payloads included) must round-trip without a serialization error,
+// and repeated requests must hit the cache.
 func TestFrontEndCachePathOverWire(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(1, stub.WireCodec{})
 	fe, _, static := startFEOn(t, net, nil)
 	static.Put("http://a/x.bin", tacc.Blob{MIME: media.MIMEOther, Data: make([]byte, 5000)})
 	ctx := context.Background()

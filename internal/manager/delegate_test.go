@@ -66,9 +66,9 @@ func startScriptedSupervisor(t *testing.T, net *san.Network, node, prefix string
 					// Supervisor died mid-restart: command received,
 					// no ack ever sent.
 				case "refuse":
-					_ = s.ep.Respond(msg, supervisor.MsgAck, supervisor.Ack{ID: cmd.ID, Err: "busy"}, 64)
+					_ = s.ep.Respond(msg, supervisor.MsgAck, supervisor.Ack{ID: cmd.ID, Err: "busy"})
 				default:
-					_ = s.ep.Respond(msg, supervisor.MsgAck, supervisor.Ack{ID: cmd.ID, OK: true}, 64)
+					_ = s.ep.Respond(msg, supervisor.MsgAck, supervisor.Ack{ID: cmd.ID, OK: true})
 				}
 			}
 		}
@@ -79,7 +79,7 @@ func startScriptedSupervisor(t *testing.T, net *san.Network, node, prefix string
 func (s *scriptedSupervisor) hello() {
 	s.ep.Multicast(stub.GroupControl, supervisor.MsgHello, supervisor.HelloMsg{
 		Name: "sup", Addr: s.addr, Node: s.addr.Node, Prefix: s.prefix,
-	}, 64)
+	})
 }
 
 func (s *scriptedSupervisor) setMode(mode string) {
@@ -131,7 +131,7 @@ func (s *failingRestartSpawner) Restart(name string) error {
 // the owning supervisor from its heartbeat table and delegates the
 // restart over the SAN instead of erroring locally.
 func TestRemoteFERestartDelegatesToSupervisor(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 	m := startManagerWithPrefix(t, net, &failingRestartSpawner{testSpawner: sp})
@@ -141,7 +141,7 @@ func TestRemoteFERestartDelegatesToSupervisor(t *testing.T) {
 
 	// One heartbeat from a remote front end, then silence.
 	fe := net.Endpoint(san.Addr{Node: "b-node1", Proc: "fe0"}, 8)
-	fe.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: fe.Addr(), Node: "b-node1"}, 48)
+	fe.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: fe.Addr(), Node: "b-node1"})
 	waitFor(t, "FE tracked", func() bool { return m.Stats().FrontEnds == 1 })
 
 	waitFor(t, "delegated restart", func() bool { return m.Stats().Delegated >= 1 })
@@ -161,7 +161,7 @@ func TestRemoteFERestartDelegatesToSupervisor(t *testing.T) {
 // so a supervisor that did execute before dying would answer the retry
 // from its idempotency cache rather than restarting twice.
 func TestSupervisorDiesMidRestartManagerRedelegates(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 	m := startManagerWithPrefix(t, net, &failingRestartSpawner{testSpawner: sp})
@@ -172,7 +172,7 @@ func TestSupervisorDiesMidRestartManagerRedelegates(t *testing.T) {
 	cache := net.Endpoint(san.Addr{Node: "b-node2", Proc: "cache0"}, 8)
 	waitFor(t, "cache tracked", func() bool {
 		cache.Multicast(stub.GroupControl, vcache.MsgHello,
-			vcache.HelloMsg{Name: "cache0", Addr: cache.Addr(), Node: "b-node2"}, 48)
+			vcache.HelloMsg{Name: "cache0", Addr: cache.Addr(), Node: "b-node2"})
 		return m.Stats().Caches == 1
 	})
 
@@ -209,13 +209,13 @@ func TestSupervisorDiesMidRestartManagerRedelegates(t *testing.T) {
 // the node, the manager keeps the old direct path — the degenerate
 // single-process deployment needs no daemon round trip.
 func TestNoSupervisorFallsBackToLocalRestart(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 	m := startManagerWithPrefix(t, net, sp)
 
 	fe := net.Endpoint(san.Addr{Node: "b-node1", Proc: "fe0"}, 8)
-	fe.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: fe.Addr(), Node: "b-node1"}, 48)
+	fe.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: fe.Addr(), Node: "b-node1"})
 	waitFor(t, "FE tracked", func() bool { return m.Stats().FrontEnds == 1 })
 	waitFor(t, "local restart", func() bool { return sp.restartsOf("fe0") >= 1 })
 	if st := m.Stats(); st.Delegated != 0 || st.FERestarts == 0 {
@@ -227,7 +227,7 @@ func TestNoSupervisorFallsBackToLocalRestart(t *testing.T) {
 // must not interleave in the manager's table — the live one's
 // heartbeats cannot mask the dead one's silence.
 func TestFEHeartbeatsAreAddressKeyed(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 	m := startManagerWithPrefix(t, net, &failingRestartSpawner{testSpawner: sp})
@@ -240,10 +240,10 @@ func TestFEHeartbeatsAreAddressKeyed(t *testing.T) {
 	feA := net.Endpoint(san.Addr{Node: "a-node1", Proc: "fe0"}, 8)
 	feB := net.Endpoint(san.Addr{Node: "b-node1", Proc: "fe0"}, 8)
 	hbA := func() {
-		feA.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: feA.Addr(), Node: "a-node1"}, 48)
+		feA.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: feA.Addr(), Node: "a-node1"})
 	}
 	hbA()
-	feB.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: feB.Addr(), Node: "b-node1"}, 48)
+	feB.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: feB.Addr(), Node: "b-node1"})
 	waitFor(t, "both replicas tracked", func() bool { return m.Stats().FrontEnds == 2 })
 
 	// B's replica goes silent while A's keeps heartbeating: the

@@ -34,7 +34,7 @@ func startReplica(t *testing.T, net *san.Network, node string, sp Spawner, rank 
 // (standby) — otherwise its beacons would be dropped forever by stubs
 // whose monotonic epoch checks saw the dead regime.
 func TestInitialEpochSeeding(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	p := New(Config{Node: "a", Net: net, InitialEpoch: 5})
 	if !p.IsPrimary() || p.Epoch() != 6 {
 		t.Fatalf("non-standby with InitialEpoch 5: primary=%v epoch=%d, want primary at 6", p.IsPrimary(), p.Epoch())
@@ -50,7 +50,7 @@ func TestInitialEpochSeeding(t *testing.T) {
 // from those beacons, so a later takeover starts at most one beacon
 // interval behind.
 func TestStandbySuppressesOutput(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 	primary, _ := startReplica(t, net, "mgrA", sp, 0, false)
@@ -79,7 +79,7 @@ func TestStandbySuppressesOutput(t *testing.T) {
 // no recovery protocol, exactly the paper's §3.1.3 discipline extended
 // to elections.
 func TestStandbyTakesOverAfterPrimarySilence(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 	primary, killPrimary := startReplica(t, net, "mgrA", sp, 0, false)
@@ -114,7 +114,7 @@ func TestStandbyTakesOverAfterPrimarySilence(t *testing.T) {
 // partition heals) converge on exactly one — the lexicographically
 // smaller address — and the loser steps down on the winner's beacon.
 func TestSplitClaimResolvesByLowestAddress(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	a, _ := startReplica(t, net, "mgrA", nil, 0, false)
 	b, _ := startReplica(t, net, "mgrB", nil, 0, false)
 
@@ -134,7 +134,7 @@ func TestSplitClaimResolvesByLowestAddress(t *testing.T) {
 // deposes the current primary unconditionally — the fencing rule that
 // makes a partitioned ex-primary harmless the moment it rejoins.
 func TestPrimaryStepsDownOnHigherEpoch(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	m, _ := startReplica(t, net, "mgrA", nil, 0, false)
 	// The replica is "primary" from construction; wait for its Run loop
 	// (first beacon) so it is actually listening on the control group.
@@ -158,7 +158,7 @@ func TestPrimaryStepsDownOnHigherEpoch(t *testing.T) {
 				seq++
 				rival.Multicast(stub.GroupControl, stub.MsgBeacon, stub.Beacon{
 					Manager: rival.Addr(), Seq: seq, Epoch: 7,
-				}, 64)
+				})
 			}
 		}
 	}()
@@ -171,7 +171,7 @@ func TestPrimaryStepsDownOnHigherEpoch(t *testing.T) {
 	// Stale beacons from a long-dead regime are ignored outright.
 	rival.Multicast(stub.GroupControl, stub.MsgBeacon, stub.Beacon{
 		Manager: san.Addr{Node: "mgrY", Proc: "manager"}, Seq: 1, Epoch: 3,
-	}, 64)
+	})
 	time.Sleep(4 * tick)
 	if m.Epoch() != 7 {
 		t.Fatalf("stale beacon rewound the epoch to %d", m.Epoch())

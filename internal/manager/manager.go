@@ -41,6 +41,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -269,7 +270,9 @@ type Manager struct {
 	inflight     map[string]bool   // delegated commands awaiting an ack
 	cmdIDs       map[string]uint64 // incident key -> command id (reused on retry)
 	nextCmdID    uint64
-	inflightSp   map[string]int // class -> delegated respawns in flight
+	inflightSp   map[string]int           // class -> delegated respawns awaiting their ack
+	booting      *softstate.Table[string] // spawned, not yet registered workers: spawn seq -> class
+	spawnSeq     uint64
 	seq          uint64
 	stats        Stats
 
@@ -294,6 +297,7 @@ func New(cfg Config) *Manager {
 		inflight:   make(map[string]bool),
 		cmdIDs:     make(map[string]uint64),
 		inflightSp: make(map[string]int),
+		booting:    softstate.NewTable[string](cfg.WorkerTTL, nil),
 	}
 	m.epoch = cfg.InitialEpoch
 	if !cfg.Standby {
@@ -488,6 +492,9 @@ func (m *Manager) handle(msg san.Message) {
 			return
 		}
 		m.mu.Lock()
+		if _, known := m.workers.Get(r.Info.ID); !known {
+			m.bootedLocked(r.Info.Class)
+		}
 		ws := &workerState{info: r.Info, avg: &softstate.MovingAverage{Alpha: 0.3}}
 		m.workers.Put(r.Info.ID, ws)
 		m.stats.Registrations++
@@ -528,6 +535,7 @@ func (m *Manager) handle(msg san.Message) {
 			// A report from a worker we expired (e.g. marooned by a
 			// SAN partition that has since healed): re-admit it. Soft
 			// state rebuilds from periodic messages alone (§3.1.3).
+			m.bootedLocked(r.Info.Class)
 			ws := &workerState{info: r.Info, avg: &softstate.MovingAverage{Alpha: 0.3}}
 			ws.avg.Add(float64(r.QLen))
 			m.workers.Put(r.ID, ws)
@@ -557,7 +565,21 @@ func (m *Manager) handle(msg san.Message) {
 		if !ok {
 			return
 		}
-		m.trySpawn(req.Class, "front-end request")
+		// The front end knows no worker of the class, but its table is
+		// a beacon behind this one: a class with live workers, or with
+		// spawns still awaiting registration, needs no new worker —
+		// the next beacon tells the front end.
+		m.mu.Lock()
+		known := m.classCountLocked(req.Class) + m.inflightSp[req.Class]
+		for _, class := range m.booting.Snapshot() {
+			if class == req.Class {
+				known++
+			}
+		}
+		m.mu.Unlock()
+		if known == 0 {
+			m.trySpawn(req.Class, "front-end request")
+		}
 	case vcache.MsgHello:
 		hb, ok := msg.Body.(vcache.HelloMsg)
 		if !ok {
@@ -614,7 +636,7 @@ func (m *Manager) sendBeacon(ep *san.Endpoint) {
 		Epoch:   epoch,
 		Workers: workers,
 		Floors:  floors,
-	}, 64+len(workers)*48)
+	})
 	ep.Multicast(stub.GroupReports, stub.MsgMonReport, stub.StatusReport{
 		Component: m.cfg.Name,
 		Kind:      "manager",
@@ -623,7 +645,7 @@ func (m *Manager) sendBeacon(ep *san.Endpoint) {
 			"workers": float64(len(workers)),
 			"seq":     float64(seq),
 		},
-	}, 96)
+	})
 }
 
 // evaluatePolicy runs expiry, replacement, spawn-on-load, reaping, and
@@ -674,6 +696,12 @@ func (m *Manager) evaluatePolicy() {
 	for c, n := range m.inflightSp {
 		inflightSp[c] = n
 	}
+	// A spawned worker that has not registered within WorkerTTL is
+	// presumed dead, like a silent registered one.
+	m.booting.Expired()
+	for _, c := range m.booting.Snapshot() {
+		inflightSp[c]++
+	}
 	m.mu.Unlock()
 
 	if m.cfg.Spawner == nil {
@@ -681,10 +709,11 @@ func (m *Manager) evaluatePolicy() {
 	}
 
 	// 2a. Delegate respawns of workers that died in another process to
-	// that process's supervisor; while a delegation is in flight the
-	// floor loop below leaves its slot alone (no double spawn). A
-	// failed delegation simply clears the slot — the floor deficit is
-	// then made up locally on the next tick.
+	// that process's supervisor; while a delegation is in flight, and
+	// then until its worker registers, the floor loop below leaves its
+	// slot alone (no double spawn). A failed delegation simply clears
+	// the slot — the floor deficit is then made up locally on the next
+	// tick.
 	for id, ws := range expiredWorkers {
 		sup, remote := m.remoteSupervisorFor(ws.info.Node)
 		if !remote {
@@ -705,7 +734,8 @@ func (m *Manager) evaluatePolicy() {
 		go m.delegateSpawn(key, class, cmdID, sup)
 	}
 
-	// 2b. Replace crashed workers below the replica floor.
+	// 2b. Replace crashed workers below the replica floor, counting
+	// spawns whose workers have not registered yet.
 	for class, want := range desired {
 		cv := classes[class]
 		have := inflightSp[class]
@@ -734,7 +764,7 @@ func (m *Manager) evaluatePolicy() {
 		}
 		if m.cfg.Policy.ShouldReap(cv.avg, cv.count, now, lastSpawn[class]) {
 			victim := cv.overflow[0]
-			_ = m.ep.Send(victim.Addr, stub.MsgShutdown, nil, 16)
+			_ = m.ep.Send(victim.Addr, stub.MsgShutdown, nil)
 			if err := m.cfg.Spawner.ReapWorker(victim.ID); err == nil {
 				m.mu.Lock()
 				m.workers.Delete(victim.ID)
@@ -944,6 +974,7 @@ func (m *Manager) delegateSpawn(key, class string, cmdID uint64, sup supervisor.
 	delete(m.cmdIDs, key)
 	if ok {
 		m.lastSpawn[class] = time.Now()
+		m.bootingLocked(class)
 		m.stats.Spawns++
 		m.stats.DelegatedSpawn++
 	} else {
@@ -965,7 +996,7 @@ func (m *Manager) invokeSupervisor(sup supervisor.HelloMsg, cmd supervisor.Comma
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.CmdTimeout)
 	defer cancel()
-	resp, err := m.ep.Call(ctx, sup.Addr, supervisor.MsgCmd, cmd, 64)
+	resp, err := m.ep.Call(ctx, sup.Addr, supervisor.MsgCmd, cmd)
 	if err != nil {
 		return supervisor.Ack{}, err
 	}
@@ -1030,6 +1061,7 @@ func (m *Manager) spawn(class, reason string) error {
 	}
 	m.mu.Lock()
 	m.lastSpawn[class] = time.Now()
+	m.bootingLocked(class)
 	m.stats.Spawns++
 	if c := m.classCountLocked(class) + 1; c > m.desired[class] {
 		m.desired[class] = c
@@ -1037,6 +1069,24 @@ func (m *Manager) spawn(class, reason string) error {
 	m.mu.Unlock()
 	_ = reason // reasons surface via the monitor's spawn metric
 	return nil
+}
+
+// bootingLocked records a spawned worker of class that has not
+// registered yet.
+func (m *Manager) bootingLocked(class string) {
+	m.spawnSeq++
+	m.booting.Put(strconv.FormatUint(m.spawnSeq, 10), class)
+}
+
+// bootedLocked discharges one spawn of class awaiting its worker's
+// registration: a worker of class has just entered the table.
+func (m *Manager) bootedLocked(class string) {
+	for key, c := range m.booting.Snapshot() {
+		if c == class {
+			m.booting.Delete(key)
+			return
+		}
+	}
 }
 
 func (m *Manager) classCountLocked(class string) int {

@@ -34,6 +34,9 @@ type testSpawner struct {
 	spawns    atomic.Int64
 	reaps     atomic.Int64
 	dedicated atomic.Bool
+	// startDelay, when set, defers each SpawnWorker's worker start, so
+	// it registers that much later than a prompt one would.
+	startDelay atomic.Int64
 }
 
 func newTestSpawner(net *san.Network, interval time.Duration) *testSpawner {
@@ -49,6 +52,10 @@ func newTestSpawner(net *san.Network, interval time.Duration) *testSpawner {
 }
 
 func (s *testSpawner) SpawnWorker(class string, overflow bool) error {
+	if d := time.Duration(s.startDelay.Load()); d > 0 {
+		time.AfterFunc(d, func() { s.start(class, overflow) })
+		return nil
+	}
 	s.start(class, overflow)
 	return nil
 }
@@ -157,7 +164,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestWorkerLifecycle(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 	m := startManager(t, net, sp, Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1})
@@ -175,7 +182,7 @@ func TestWorkerLifecycle(t *testing.T) {
 }
 
 func TestBeaconCarriesLoadAverages(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 	m := New(Config{
@@ -213,12 +220,12 @@ func TestBeaconCarriesLoadAverages(t *testing.T) {
 						registered = true
 						wep.Send(mgr, stub.MsgRegister, stub.RegisterMsg{Info: stub.WorkerInfo{
 							ID: "w0", Class: "echo", Addr: wep.Addr(), Node: "n1",
-						}}, 64)
+						}})
 					}
 				}
 			case <-tk.C:
 				if !mgr.IsZero() {
-					wep.Send(mgr, stub.MsgLoadReport, stub.LoadReport{ID: "w0", Class: "echo", QLen: 10}, 64)
+					wep.Send(mgr, stub.MsgLoadReport, stub.LoadReport{ID: "w0", Class: "echo", QLen: 10})
 				}
 			}
 		}
@@ -243,7 +250,7 @@ func TestBeaconCarriesLoadAverages(t *testing.T) {
 }
 
 func TestSpawnOnLoadThresholdWithDamping(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 	m := New(Config{
@@ -279,12 +286,12 @@ func TestSpawnOnLoadThresholdWithDamping(t *testing.T) {
 					if !reg {
 						reg = true
 						wep.Send(mgr, stub.MsgRegister, stub.RegisterMsg{Info: stub.WorkerInfo{
-							ID: "hot", Class: "echo", Addr: wep.Addr(), Node: "n1"}}, 64)
+							ID: "hot", Class: "echo", Addr: wep.Addr(), Node: "n1"}})
 					}
 				}
 			case <-tk.C:
 				if !mgr.IsZero() {
-					wep.Send(mgr, stub.MsgLoadReport, stub.LoadReport{ID: "hot", Class: "echo", QLen: 50}, 64)
+					wep.Send(mgr, stub.MsgLoadReport, stub.LoadReport{ID: "hot", Class: "echo", QLen: 50})
 				}
 			}
 		}
@@ -302,7 +309,7 @@ func TestSpawnOnLoadThresholdWithDamping(t *testing.T) {
 }
 
 func TestSpawnRequestFromFrontEnd(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 	m := startManager(t, net, sp, Policy{SpawnThreshold: 1e9, Damping: time.Millisecond, ReapThreshold: -1})
@@ -317,15 +324,56 @@ func TestSpawnRequestFromFrontEnd(t *testing.T) {
 			return false
 		}
 	})
-	if err := fe.Send(m.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "echo"}, 32); err != nil {
+	if err := fe.Send(m.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "echo"}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "spawn", func() bool { return sp.spawns.Load() >= 1 })
 	waitFor(t, "registered", func() bool { return m.Stats().Workers == 1 })
 }
 
+// TestLateRegistrationSpawnsOnce: a replacement worker that registers
+// many policy ticks after its spawn counts as in flight, so one crash
+// gets one replacement — neither the replica floor nor a front end's
+// spawn request (its table is a beacon behind) starts another while
+// the replacement boots.
+func TestLateRegistrationSpawnsOnce(t *testing.T) {
+	net := san.NewNetwork(1, stub.WireCodec{})
+	sp := newTestSpawner(net, tick)
+	defer sp.stopAll()
+	// The long WorkerTTL keeps the late registration well inside the
+	// in-flight window even on a loaded host.
+	m := New(Config{
+		Node:           "mgr",
+		Net:            net,
+		Policy:         Policy{SpawnThreshold: 1e9, Damping: time.Millisecond, ReapThreshold: -1},
+		BeaconInterval: tick,
+		WorkerTTL:      30 * tick,
+		Spawner:        sp,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go m.Run(ctx)
+
+	info1 := sp.start("echo", false)
+	sp.start("echo", false)
+	waitFor(t, "registrations", func() bool { return m.Stats().Workers == 2 })
+
+	sp.startDelay.Store(int64(8 * tick))
+	sp.crash(info1.ID)
+	waitFor(t, "replacement spawn", func() bool { return m.Stats().Spawns >= 1 })
+	fe := net.Endpoint(san.Addr{Node: "fe", Proc: "fe0"}, 64)
+	if err := fe.Send(m.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "echo"}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "replacement registers", func() bool { return m.Stats().Workers == 2 })
+	time.Sleep(5 * tick)
+	if st := m.Stats(); st.Spawns != 1 || st.Workers != 2 {
+		t.Fatalf("spawns=%d workers=%d, want 1 replacement for 1 crash and 2 workers", st.Spawns, st.Workers)
+	}
+}
+
 func TestReapOverflowWorkers(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 	sp.dedicated.Store(false) // force spawns onto the overflow pool
@@ -358,14 +406,14 @@ func TestReapOverflowWorkers(t *testing.T) {
 }
 
 func TestFrontEndProcessPeerRestart(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 	m := startManager(t, net, sp, Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1})
 
 	fe := net.Endpoint(san.Addr{Node: "fe", Proc: "fe0"}, 64)
 	hb := func() {
-		fe.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: fe.Addr(), Node: "fe"}, 48)
+		fe.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: fe.Addr(), Node: "fe"})
 	}
 	hb()
 	waitFor(t, "FE tracked", func() bool { return m.Stats().FrontEnds == 1 })
@@ -380,7 +428,7 @@ func TestFrontEndProcessPeerRestart(t *testing.T) {
 // control group; silence past CacheTTL triggers the manager's
 // Restart duty, exactly like front ends.
 func TestCacheProcessPeerRestart(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 	m := startManager(t, net, sp, Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1})
@@ -390,7 +438,7 @@ func TestCacheProcessPeerRestart(t *testing.T) {
 		// Heartbeat until the manager (whose Run loop joins the group
 		// asynchronously) has caught one.
 		cache.Multicast(stub.GroupControl, vcache.MsgHello,
-			vcache.HelloMsg{Name: "cache0", Addr: cache.Addr(), Node: "c0"}, 48)
+			vcache.HelloMsg{Name: "cache0", Addr: cache.Addr(), Node: "c0"})
 		return m.Stats().Caches == 1
 	})
 	// Stop heartbeating: the manager restarts the cache after CacheTTL.
@@ -401,7 +449,7 @@ func TestCacheProcessPeerRestart(t *testing.T) {
 }
 
 func TestDeregisterLowersReplicaFloor(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 	m := startManager(t, net, sp, Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1})
@@ -412,7 +460,7 @@ func TestDeregisterLowersReplicaFloor(t *testing.T) {
 	// Clean deregistration must NOT trigger a replacement.
 	base := sp.spawns.Load()
 	wep := net.Endpoint(san.Addr{Node: "x", Proc: "x"}, 8)
-	wep.Send(m.Addr(), stub.MsgDeregister, stub.DeregisterMsg{ID: info.ID}, 32)
+	wep.Send(m.Addr(), stub.MsgDeregister, stub.DeregisterMsg{ID: info.ID})
 	waitFor(t, "worker removed", func() bool { return m.Stats().Workers == 0 })
 	time.Sleep(10 * tick)
 	if sp.spawns.Load() != base {
@@ -423,7 +471,7 @@ func TestDeregisterLowersReplicaFloor(t *testing.T) {
 func TestManagerRestartRebuildsSoftState(t *testing.T) {
 	// §3.1.3: kill the manager, start a new one; workers re-register
 	// on its beacons with no recovery protocol.
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 
@@ -454,7 +502,7 @@ func TestManagerRestartRebuildsSoftState(t *testing.T) {
 }
 
 func TestClassAverages(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	m := New(Config{
 		Node: "mgr", Net: net,
 		Policy:         Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1},
@@ -466,10 +514,10 @@ func TestClassAverages(t *testing.T) {
 
 	wep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 8)
 	wep.Send(m.Addr(), stub.MsgRegister, stub.RegisterMsg{Info: stub.WorkerInfo{
-		ID: "w0", Class: "echo", Addr: wep.Addr(), Node: "n1"}}, 64)
+		ID: "w0", Class: "echo", Addr: wep.Addr(), Node: "n1"}})
 	waitFor(t, "registered", func() bool { return m.Stats().Workers == 1 })
 	for i := 0; i < 10; i++ {
-		wep.Send(m.Addr(), stub.MsgLoadReport, stub.LoadReport{ID: "w0", Class: "echo", QLen: 8}, 64)
+		wep.Send(m.Addr(), stub.MsgLoadReport, stub.LoadReport{ID: "w0", Class: "echo", QLen: 8})
 	}
 	waitFor(t, "reports handled", func() bool { return m.Stats().ReportsHandled >= 10 })
 	avgs := m.ClassAverages()

@@ -10,10 +10,10 @@ import (
 
 // TestManagerWorkerLifecycleOverWire runs the full manager <-> worker
 // protocol — beacons, registration, load reports, TTL expiry, crash
-// replacement — over a wire-mode SAN, so every control-plane message
-// the manager exchanges round-trips through the production codec.
+// replacement — and checks that every control-plane message the
+// manager exchanges round-trips through the production codec.
 func TestManagerWorkerLifecycleOverWire(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(1, stub.WireCodec{})
 	sp := newTestSpawner(net, tick)
 	defer sp.stopAll()
 	m := startManager(t, net, sp, Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1})

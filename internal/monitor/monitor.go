@@ -303,7 +303,7 @@ func (m *Monitor) Disable(addr san.Addr) error {
 	m.mu.Lock()
 	m.disabled[addr] = true
 	m.mu.Unlock()
-	return m.ep.Send(addr, stub.MsgDisable, nil, 16)
+	return m.ep.Send(addr, stub.MsgDisable, nil)
 }
 
 // Enable re-enables a disabled component.
@@ -311,7 +311,7 @@ func (m *Monitor) Enable(addr san.Addr) error {
 	m.mu.Lock()
 	delete(m.disabled, addr)
 	m.mu.Unlock()
-	return m.ep.Send(addr, stub.MsgEnable, nil, 16)
+	return m.ep.Send(addr, stub.MsgEnable, nil)
 }
 
 // Disabled lists components currently disabled for upgrade, sorted by
@@ -475,7 +475,7 @@ func (m *Monitor) rollOne(ctx context.Context, class string, w stub.WorkerInfo, 
 	var lastErr error
 	for attempt := 0; attempt < opts.Retries; attempt++ {
 		cctx, cancel := context.WithTimeout(ctx, opts.CommandTimeout)
-		resp, err := m.ep.Call(cctx, sup.Addr, supervisor.MsgCmd, cmd, 64)
+		resp, err := m.ep.Call(cctx, sup.Addr, supervisor.MsgCmd, cmd)
 		cancel()
 		if err != nil {
 			lastErr = err

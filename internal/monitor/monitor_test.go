@@ -33,7 +33,7 @@ func report(ep *san.Endpoint, component, kind string) {
 		Kind:      kind,
 		Node:      "n1",
 		Metrics:   map[string]float64{"qlen": 3},
-	}, 64)
+	})
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -49,7 +49,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestMonitorTracksReports(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	m, _ := startMonitor(t, net, time.Hour)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 	waitFor(t, "component visible", func() bool {
@@ -64,7 +64,7 @@ func TestMonitorTracksReports(t *testing.T) {
 }
 
 func TestMonitorSilenceAlertAndRecovery(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	m, alerts := startMonitor(t, net, 40*time.Millisecond)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 	waitFor(t, "component visible", func() bool {
@@ -106,21 +106,21 @@ func TestMonitorSilenceAlertAndRecovery(t *testing.T) {
 }
 
 func TestMonitorSeesManagerBeacons(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	m, _ := startMonitor(t, net, time.Hour)
 	mgr := net.Endpoint(san.Addr{Node: "m", Proc: "manager"}, 16)
 	waitFor(t, "manager visible", func() bool {
 		mgr.Multicast(stub.GroupControl, stub.MsgBeacon, stub.Beacon{
 			Manager: mgr.Addr(),
 			Workers: []stub.WorkerInfo{{ID: "w0"}},
-		}, 64)
+		})
 		snap := m.Snapshot()
 		return len(snap) == 1 && snap[0].Kind == "manager" && snap[0].Metrics["workers"] == 1
 	})
 }
 
 func TestMonitorDisableEnable(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	m, _ := startMonitor(t, net, time.Hour)
 	target := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 	if err := m.Disable(target.Addr()); err != nil {
@@ -140,7 +140,7 @@ func TestMonitorDisableEnable(t *testing.T) {
 }
 
 func TestRenderTableFormatting(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	m, _ := startMonitor(t, net, time.Hour)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "a-worker"}, 16)
 	waitFor(t, "component", func() bool {
@@ -154,7 +154,7 @@ func TestRenderTableFormatting(t *testing.T) {
 }
 
 func TestDisabledList(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	m, _ := startMonitor(t, net, time.Hour)
 	a := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 	b := net.Endpoint(san.Addr{Node: "n2", Proc: "w1"}, 16)
@@ -181,7 +181,7 @@ func TestDisabledList(t *testing.T) {
 // the reporter's map — a sender mutating its map after the multicast
 // must not change (or race with) what the monitor displays.
 func TestMonitorCopiesMetricsOnIngest(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	m, _ := startMonitor(t, net, time.Hour)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 
@@ -194,7 +194,7 @@ func TestMonitorCopiesMetricsOnIngest(t *testing.T) {
 	metrics := map[string]float64{"qlen": 3}
 	ep.Multicast(stub.GroupReports, stub.MsgMonReport, stub.StatusReport{
 		Component: "w0", Kind: "worker", Node: "n1", Metrics: metrics,
-	}, 64)
+	})
 	waitFor(t, "component visible", func() bool {
 		for _, st := range m.Snapshot() {
 			if st.Component == "w0" {
@@ -215,7 +215,7 @@ func TestMonitorCopiesMetricsOnIngest(t *testing.T) {
 // TestMonitorHopBreakdown: span digests on the report group aggregate
 // into per-hop count/avg/max across distinct processes.
 func TestMonitorHopBreakdown(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	m, _ := startMonitor(t, net, time.Hour)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 
@@ -229,7 +229,7 @@ func TestMonitorHopBreakdown(t *testing.T) {
 			{Trace: 3, Proc: "b", Hop: "worker.service", Dur: int64(30 * time.Millisecond)},
 			{Trace: 3, Proc: "a", Hop: "fe.request", Dur: int64(50 * time.Millisecond)},
 		},
-	}, 128)
+	})
 	waitFor(t, "hops aggregated", func() bool { return len(m.HopBreakdown()) == 2 })
 
 	hops := m.HopBreakdown()

@@ -44,7 +44,7 @@ func (h *waveHost) ids() []string {
 // driver touches, without booting a full system.
 func startWaveFixture(t *testing.T) (*Monitor, *waveHost, *san.Network) {
 	t.Helper()
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, stub.WireCodec{})
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 
@@ -83,7 +83,7 @@ func startWaveFixture(t *testing.T) (*Monitor, *waveHost, *san.Network) {
 			case <-tk.C:
 				seq++
 				mgr.Multicast(stub.GroupControl, stub.MsgBeacon,
-					stub.Beacon{Manager: mgr.Addr(), Seq: seq, Workers: workers}, 256)
+					stub.Beacon{Manager: mgr.Addr(), Seq: seq, Workers: workers})
 			}
 		}
 	}()

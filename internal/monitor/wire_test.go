@@ -9,12 +9,12 @@ import (
 )
 
 // TestMonitorOverWire feeds the monitor status reports and manager
-// beacons through a wire-mode SAN: the reports group traffic it
+// beacons through the SAN's codec: the reports group traffic it
 // watches — including the metrics maps — must survive the codec, and
 // the disable/enable control signals (body-less kinds) must still be
 // deliverable.
 func TestMonitorOverWire(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(1, stub.WireCodec{})
 	m, _ := startMonitor(t, net, time.Hour)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 	waitFor(t, "component visible over wire", func() bool {

@@ -16,12 +16,12 @@ import (
 // bridge tearing a network down cannot leak goroutines or push into
 // freed endpoints.
 func TestNetworkClose(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	a := n.Endpoint(Addr{Node: "n0", Proc: "a"}, 8)
 	b := n.Endpoint(Addr{Node: "n0", Proc: "b"}, 8)
 	b.Join("g")
 
-	if err := a.Send(b.Addr(), "k", "hello", 8); err != nil {
+	if err := a.Send(b.Addr(), "k", "hello"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -30,7 +30,7 @@ func TestNetworkClose(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		_, err := a.Call(ctx, b.Addr(), "req", nil, 8)
+		_, err := a.Call(ctx, b.Addr(), "req", nil)
 		callErr <- err
 	}()
 	// Wait until the request is actually in b's inbox (send happened).
@@ -45,10 +45,10 @@ func TestNetworkClose(t *testing.T) {
 	if err := <-callErr; !errors.Is(err, ErrClosed) {
 		t.Fatalf("pending call after Close: got %v, want ErrClosed", err)
 	}
-	if err := a.Send(b.Addr(), "k", "late", 8); !errors.Is(err, ErrClosed) && !errors.Is(err, ErrNetworkClosed) {
+	if err := a.Send(b.Addr(), "k", "late"); !errors.Is(err, ErrClosed) && !errors.Is(err, ErrNetworkClosed) {
 		t.Fatalf("send after Close: got %v, want ErrClosed/ErrNetworkClosed", err)
 	}
-	if got := a.Multicast("g", "k", "late", 8); got != 0 {
+	if got := a.Multicast("g", "k", "late"); got != 0 {
 		t.Fatalf("multicast after Close delivered %d", got)
 	}
 	if !n.Closed() {
@@ -80,12 +80,12 @@ func TestNetworkClose(t *testing.T) {
 // timers when the network closes are dropped deterministically, and
 // the timer goroutines do not outlive the drop.
 func TestNetworkCloseDropsDelayedDeliveries(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	n.SetLatency(func() time.Duration { return 20 * time.Millisecond })
 	a := n.Endpoint(Addr{Node: "n0", Proc: "a"}, 8)
 	b := n.Endpoint(Addr{Node: "n0", Proc: "b"}, 8)
 	for i := 0; i < 16; i++ {
-		if err := a.Send(b.Addr(), "k", i, 8); err != nil {
+		if err := a.Send(b.Addr(), "k", i); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -40,7 +40,7 @@ func (f *fakeFabric) EndpointDown(a Addr) { f.downs = append(f.downs, a) }
 // inject APIs; local behavior is untouched.
 func TestFabricSeam(t *testing.T) {
 	local, _ := wireNet(t)
-	remote := NewNetwork(2, WithCodec(&countingCodec{}))
+	remote := NewNetwork(2, &countingCodec{})
 	fab := &fakeFabric{peer: remote}
 	local.SetFabric(fab)
 
@@ -48,7 +48,7 @@ func TestFabricSeam(t *testing.T) {
 	dst := remote.Endpoint(Addr{Node: "b-n0", Proc: "dst"}, 8)
 
 	// Unicast to a remote-only address goes through the fabric.
-	if err := src.Send(dst.Addr(), "k", "payload", 7); err != nil {
+	if err := src.Send(dst.Addr(), "k", "payload"); err != nil {
 		t.Fatalf("remote send: %v", err)
 	}
 	if fab.unicasts != 1 {
@@ -75,7 +75,7 @@ func TestFabricSeam(t *testing.T) {
 	// processes.
 	fab.noRoute = true
 	before := local.Stats().Dropped
-	if err := src.Send(Addr{Node: "nowhere", Proc: "nobody"}, "k", "y", 1); !errors.Is(err, ErrUnknownAddr) {
+	if err := src.Send(Addr{Node: "nowhere", Proc: "nobody"}, "k", "y"); !errors.Is(err, ErrUnknownAddr) {
 		t.Fatalf("unroutable send: err=%v, want ErrUnknownAddr", err)
 	}
 	if got := local.Stats().Dropped; got != before+1 {
@@ -87,7 +87,7 @@ func TestFabricSeam(t *testing.T) {
 	// fans out to its own members.
 	w1 := remote.Endpoint(Addr{Node: "b-n1", Proc: "w1"}, 8)
 	w1.Join("grp")
-	src.Multicast("grp", "k", "mbody", 5)
+	src.Multicast("grp", "k", "mbody")
 	if fab.mcasts != 1 {
 		t.Fatalf("fabric saw %d multicasts, want 1", fab.mcasts)
 	}
@@ -117,7 +117,7 @@ func TestFabricSeam(t *testing.T) {
 
 	// Detaching restores ErrUnknownAddr for non-local sends.
 	local.SetFabric(nil)
-	if err := src.Send(dst.Addr(), "k", "z", 1); err == nil {
+	if err := src.Send(dst.Addr(), "k", "z"); err == nil {
 		t.Fatal("send without fabric to remote address succeeded")
 	}
 }
@@ -129,7 +129,7 @@ func TestFabricSeam(t *testing.T) {
 func TestFabricSeesEndpointTable(t *testing.T) {
 	n, _ := wireNet(t)
 	pre := n.Endpoint(Addr{Node: "n0", Proc: "pre"}, 8)
-	fab := &fakeFabric{peer: NewNetwork(9, WithCodec(&countingCodec{}))}
+	fab := &fakeFabric{peer: NewNetwork(9, &countingCodec{})}
 	n.SetFabric(fab)
 	if len(fab.ups) != 1 || fab.ups[0] != pre.Addr() {
 		t.Fatalf("replay ups = %v, want [%v]", fab.ups, pre.Addr())
@@ -157,17 +157,6 @@ func TestFabricSeesEndpointTable(t *testing.T) {
 	if len(fab.downs) != 2 || fab.downs[1] != pre.Addr() {
 		t.Fatalf("downs after drop = %v", fab.downs)
 	}
-}
-
-// TestSetFabricRequiresWireMode: installing a fabric on a passthrough
-// network is a deployment bug and panics.
-func TestSetFabricRequiresWireMode(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetFabric on a passthrough network did not panic")
-		}
-	}()
-	NewNetwork(1).SetFabric(&fakeFabric{})
 }
 
 // TestInjectRespectsPartition: remote injections honor the receiving
@@ -198,7 +187,7 @@ func TestInjectRespectsPartition(t *testing.T) {
 // TestDropRemovesEndpoint: Drop (process crash) detaches the address
 // and group membership without goodbye traffic.
 func TestDropRemovesEndpoint(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	ep := n.Endpoint(Addr{Node: "n0", Proc: "p"}, 8)
 	ep.Join("g")
 	other := n.Endpoint(Addr{Node: "n0", Proc: "q"}, 8)
@@ -206,7 +195,7 @@ func TestDropRemovesEndpoint(t *testing.T) {
 	if n.Lookup(ep.Addr()) {
 		t.Fatal("dropped endpoint still registered")
 	}
-	if got := other.Multicast("g", "k", nil, 8); got != 0 {
+	if got := other.Multicast("g", "k", nil); got != 0 {
 		t.Fatalf("dropped endpoint still received %d multicasts", got)
 	}
 	if _, open := <-ep.Inbox(); open {

@@ -17,33 +17,30 @@
 // senders never contend on a network-wide mutex. Loss decisions use
 // per-endpoint deterministic rngs instead of a shared locked source.
 //
-// Wire mode (WithCodec) makes the serialization path real: every
-// Send/Multicast/Call/Respond encodes its body to bytes through the
-// installed Codec and every delivery decodes it, so messages cross the
-// SAN exactly as they would a production interconnect. Encode buffers
-// are pooled (steady-state sends allocate nothing for encoding) and
-// Multicast encodes each body exactly once regardless of group size,
-// sharing the immutable byte slice across all recipient decodes.
+// The SAN always carries bytes: every Send/Multicast/Call/Respond
+// encodes its body through the network's Codec and every delivery
+// decodes it, so messages cross the SAN exactly as they would a
+// production interconnect. Multicast encodes each body exactly once
+// regardless of group size, sharing the immutable byte slice across
+// all recipient decodes.
 //
 // A Fabric (SetFabric) splices this network into a larger logical SAN
 // spanning OS processes: point-to-point sends whose destination is not
 // registered locally are handed to the fabric as wire bytes, every
 // multicast is mirrored to it, and frames arriving from remote
-// processes re-enter through InjectUnicast/InjectMulticast. The
-// in-process mode is untouched when no fabric is installed —
+// processes re-enter through InjectUnicast/InjectMulticast —
 // internal/transport provides the socket implementation.
 //
-// Zero-copy views: when the codec also implements ViewCodec (and views
-// are not disabled with WithDecodeViews(false)), delivery decodes
-// []byte body fields as views that alias the encoded wire bytes
-// instead of copying them. The wire bytes then live in a refcounted
-// Lease carried on the Message; the buffer is recycled only after
-// every holder releases, so consumers that finish with a message call
-// msg.Release() (a performance obligation — forgetting it costs a pool
-// miss, never corruption) and consumers that keep body bytes past the
-// message clone them first (CloneBytes, copy-on-retain). Messages
-// whose bodies contain no []byte never carry a lease, so control-plane
-// consumers are unaffected.
+// Zero-copy views: encoded bodies live in a refcounted Lease, and the
+// codec may decode []byte body fields as views that alias those bytes
+// instead of copying them. An aliasing delivery carries the Lease on
+// its Message; the buffer is recycled only after every holder
+// releases, so consumers that finish with a message call msg.Release()
+// (a performance obligation — forgetting it costs a pool miss, never
+// corruption) and consumers that keep body bytes past the message
+// clone them first (CloneBytes, copy-on-retain). Messages whose bodies
+// contain no []byte never carry a lease, so control-plane consumers
+// are unaffected.
 package san
 
 import (
@@ -72,9 +69,9 @@ func (a Addr) String() string { return a.Node + "/" + a.Proc }
 // IsZero reports whether the address is unset.
 func (a Addr) IsZero() bool { return a.Node == "" && a.Proc == "" }
 
-// Message is a datagram on the SAN. Body is an arbitrary value (the
-// in-process analogue of a serialized payload); Size is the simulated
-// wire size in bytes, used for bandwidth accounting and stats.
+// Message is a datagram on the SAN. Body is the value decoded from the
+// wire bytes; Size is the length of that encoding, set by the network
+// and used for bandwidth accounting and stats.
 type Message struct {
 	From  Addr
 	To    Addr   // zero for multicast
@@ -108,16 +105,8 @@ type Message struct {
 	// receive buffer (zero-copy view mode). The consumer that finishes
 	// with the message calls Release; a consumer that keeps body bytes
 	// beyond its own release must clone them first (CloneBytes).
-	// Nil for passthrough deliveries and for bodies without views.
+	// Nil for bodies without views.
 	Lease *Lease
-}
-
-// Retain adds a reference to the message's backing buffer (no-op when
-// the message carries none): the holder promises a matching Release.
-func (m Message) Retain() {
-	if m.Lease != nil {
-		m.Lease.Retain()
-	}
 }
 
 // Release drops the message's reference to its backing buffer and
@@ -131,9 +120,7 @@ func (m *Message) Release() {
 	}
 }
 
-// Stats counts network activity. In wire mode Bytes counts actual
-// encoded wire bytes (the Size hint callers pass is replaced by the
-// real encoded length); in passthrough mode it sums the Size hints.
+// Stats counts network activity. Bytes counts encoded wire bytes.
 type Stats struct {
 	Sent         uint64 // point-to-point messages delivered
 	Dropped      uint64 // lost to impairments, partitions, or full inboxes
@@ -141,7 +128,6 @@ type Stats struct {
 	McastDropped uint64 // multicast deliveries lost
 	Bytes        uint64 // bytes delivered
 
-	// Wire-mode counters (zero in passthrough mode).
 	WireEncodes uint64 // codec encode calls (one per Send/Call/Respond/Multicast)
 	WireDecodes uint64 // codec decode calls (one per delivery)
 	WireErrors  uint64 // bodies the codec rejected
@@ -152,7 +138,7 @@ var (
 	ErrClosed      = errors.New("san: endpoint closed")
 	ErrUnknownAddr = errors.New("san: unknown address")
 	ErrTimeout     = errors.New("san: call timed out")
-	// ErrCodec wraps wire-mode serialization failures: the body could
+	// ErrCodec wraps serialization failures: the body could
 	// not be encoded (or its bytes decoded), so nothing was sent — the
 	// analogue of a marshalling error at a production NIC.
 	ErrCodec = errors.New("san: wire codec")
@@ -161,30 +147,20 @@ var (
 	ErrNetworkClosed = errors.New("san: network closed")
 )
 
-// Codec serializes message bodies for wire mode. AppendBody writes the
-// encoding of body into dst (growing it as needed) and returns the
-// extended slice; DecodeBody parses those bytes back into the concrete
-// body type for kind. A Codec must be safe for concurrent use, and
-// DecodeBody's values must not alias the input bytes (the network
-// pools and reuses encode buffers); ViewCodec below is the aliasing
-// variant. A zero-length encoding represents a nil body, and the
-// codec is bypassed in both directions for them: nil bodies travel as
+// Codec serializes message bodies. AppendBody writes the encoding of
+// body into dst (growing it as needed) and returns the extended slice;
+// DecodeBodyView parses those bytes back into the concrete body type
+// for kind. Its []byte fields may alias data directly, reported by
+// aliased=true: the network then parks the wire bytes in a refcounted
+// Lease on the delivered Message, and consumers govern the buffer's
+// lifetime with Release. Kinds that carry no byte slices must report
+// aliased=false. A Codec must be safe for concurrent use. A
+// zero-length encoding represents a nil body, and the codec is
+// bypassed in both directions for them: nil bodies travel as
 // zero-length wire without an encode call, and zero-length wire is
 // delivered as a nil body without a decode call.
 type Codec interface {
 	AppendBody(dst []byte, kind string, body any) ([]byte, error)
-	DecodeBody(kind string, data []byte) (any, error)
-}
-
-// ViewCodec extends Codec with zero-copy decoding: DecodeBodyView is
-// DecodeBody except that []byte fields of the result may alias data
-// directly, reported by aliased=true. The network then parks the wire
-// bytes in a refcounted Lease on the delivered Message instead of
-// recycling them, and consumers govern the buffer's lifetime with
-// Release. Kinds that carry no byte slices decode identically in both
-// modes and must report aliased=false.
-type ViewCodec interface {
-	Codec
 	DecodeBodyView(kind string, data []byte) (body any, aliased bool, err error)
 }
 
@@ -199,12 +175,12 @@ type Fabric interface {
 	// not registered on this network. It reports whether the message
 	// was handed to at least one remote process; false means nobody
 	// reachable holds the address (the network surfaces that to the
-	// sender as ErrUnknownAddr). When lease is non-nil it backs wire;
+	// sender as ErrUnknownAddr). A non-empty wire is backed by lease;
 	// a fabric that needs the bytes beyond the call (vectored or
 	// chunked writes) retains it instead of copying, releasing when
-	// the socket write completes. A nil lease keeps the old contract:
-	// copy to retain. A non-zero trace rides the frame so the receiving
-	// process can stamp it back onto the delivered Message.
+	// the socket write completes. A non-zero trace rides the frame so
+	// the receiving process can stamp it back onto the delivered
+	// Message.
 	Unicast(from, to Addr, kind string, callID uint64, reply bool, trace obs.TraceID, wire []byte, lease *Lease) bool
 	// Multicast forwards a group message to every remote process;
 	// each re-fans it out to its own local group members.
@@ -215,44 +191,6 @@ type Fabric interface {
 	// Both are idempotent and must not block.
 	EndpointUp(a Addr)
 	EndpointDown(a Addr)
-}
-
-// Option configures a Network at construction.
-type Option func(*Network)
-
-// WithCodec enables wire mode: every message body is serialized
-// through c on send and re-materialized by decoding on delivery.
-func WithCodec(c Codec) Option {
-	return func(n *Network) { n.codec = c }
-}
-
-// WithDecodeViews forces zero-copy decode views on or off. The default
-// (option absent) enables views whenever the codec implements
-// ViewCodec; WithDecodeViews(false) pins the copying decode path — the
-// escape hatch for consumers that cannot honor the Lease contract.
-func WithDecodeViews(on bool) Option {
-	return func(n *Network) { n.viewsForced, n.viewsOn = true, on }
-}
-
-// maxPooledBuf bounds the encode buffers kept in the pool so one huge
-// payload does not pin memory forever.
-const maxPooledBuf = 1 << 20
-
-// encPool recycles wire-mode encode buffers; steady-state sends do not
-// allocate for encoding.
-var encPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 1024)
-		return &b
-	},
-}
-
-func putEncBuf(bp *[]byte, b []byte) {
-	if cap(b) > maxPooledBuf {
-		return
-	}
-	*bp = b[:0]
-	encPool.Put(bp)
 }
 
 // netState is the immutable topology+impairment snapshot read by every
@@ -318,14 +256,8 @@ type Network struct {
 	mu     sync.Mutex // serializes mutators; senders never take it
 	state  atomic.Pointer[netState]
 	seed   int64 // derives each endpoint's deterministic rng
-	codec  Codec // nil = passthrough mode (bodies pass by reference)
+	codec  Codec
 	closed atomic.Bool
-
-	// viewCodec is non-nil when deliveries decode zero-copy views
-	// (codec implements ViewCodec and views are not disabled).
-	viewCodec   ViewCodec
-	viewsForced bool // WithDecodeViews was given
-	viewsOn     bool // ... and its value
 
 	// Process-wide observability plane: every component that holds the
 	// network (or an endpoint on it) shares these.
@@ -343,20 +275,14 @@ type Network struct {
 }
 
 // NewNetwork returns an unimpaired network seeded for deterministic
-// loss decisions.
-func NewNetwork(seed int64, opts ...Option) *Network {
-	n := &Network{seed: seed}
+// loss decisions that serializes every message body through codec.
+func NewNetwork(seed int64, codec Codec) *Network {
+	n := &Network{seed: seed, codec: codec}
 	n.state.Store(&netState{
 		endpoints: make(map[Addr]*Endpoint),
 		groups:    make(map[string][]*Endpoint),
 		partition: make(map[string]int),
 	})
-	for _, opt := range opts {
-		opt(n)
-	}
-	if vc, ok := n.codec.(ViewCodec); ok && (!n.viewsForced || n.viewsOn) {
-		n.viewCodec = vc
-	}
 	n.tracer = obs.NewTracer(uint64(seed), 0)
 	n.registry = obs.NewRegistry()
 	n.registry.SetCollector("san", func(emit func(string, float64)) {
@@ -380,22 +306,10 @@ func (n *Network) Tracer() *obs.Tracer { return n.tracer }
 // Registry returns the network's metrics registry.
 func (n *Network) Registry() *obs.Registry { return n.registry }
 
-// WireMode reports whether a codec is installed.
-func (n *Network) WireMode() bool { return n.codec != nil }
-
-// DecodeViews reports whether deliveries decode zero-copy views.
-func (n *Network) DecodeViews() bool { return n.viewCodec != nil }
-
 // SetFabric installs (or, with nil, detaches) the cross-process
-// fabric. A fabric requires wire mode: message bodies must already be
-// bytes to cross a process boundary, so installing one on a
-// passthrough network panics — that is a deployment bug, not a
-// runtime condition. Endpoints already registered are replayed to the
-// new fabric's EndpointUp so its route advertisements start complete.
+// fabric. Endpoints already registered are replayed to the new
+// fabric's EndpointUp so its route advertisements start complete.
 func (n *Network) SetFabric(f Fabric) {
-	if f != nil && n.codec == nil {
-		panic("san: SetFabric requires wire mode (construct the network with WithCodec)")
-	}
 	var eps []Addr
 	n.mutate(func(s *netState) {
 		s.fabric = f
@@ -446,12 +360,12 @@ func (n *Network) Closed() bool { return n.closed.Load() }
 // dropped datagram, never an error, mirroring a NIC discarding a
 // frame for an unbound port.
 //
-// A non-nil lease must back wire (the transport's receive buffer); in
-// view mode the delivery retains it so the transport can recycle the
-// buffer only after the consumer releases. The caller keeps its own
-// reference either way.
+// A non-nil lease must back wire (the transport's receive buffer); an
+// aliasing delivery retains it so the transport can recycle the buffer
+// only after the consumer releases. The caller keeps its own reference
+// either way.
 func (n *Network) InjectUnicast(from, to Addr, kind string, callID uint64, reply bool, trace obs.TraceID, wire []byte, lease *Lease) bool {
-	if n.closed.Load() || n.codec == nil {
+	if n.closed.Load() {
 		return false
 	}
 	st := n.state.Load()
@@ -463,16 +377,12 @@ func (n *Network) InjectUnicast(from, to Addr, kind string, callID uint64, reply
 		n.dropped.Add(1)
 		return false
 	}
-	body, aliased, err := n.decodeDelivery(kind, wire)
+	body, held, err := n.decode(kind, wire, lease)
 	if err != nil {
 		n.dropped.Add(1)
 		return false
 	}
-	msg := Message{From: from, To: to, Kind: kind, Body: body, Size: len(wire), CallID: callID, Reply: reply, Trace: trace}
-	if aliased && lease != nil {
-		lease.Retain()
-		msg.Lease = lease
-	}
+	msg := Message{From: from, To: to, Kind: kind, Body: body, Size: len(wire), CallID: callID, Reply: reply, Trace: trace, Lease: held}
 	if n.deliver(dst, msg, st.latency) {
 		n.sent.Add(1)
 		n.bytes.Add(uint64(len(wire)))
@@ -489,7 +399,7 @@ func (n *Network) InjectUnicast(from, to Addr, kind string, callID uint64, reply
 // returns the number of members reached. Lease semantics match
 // InjectUnicast: each aliased delivery retains it.
 func (n *Network) InjectMulticast(from Addr, group, kind string, wire []byte, lease *Lease) int {
-	if n.closed.Load() || n.codec == nil {
+	if n.closed.Load() {
 		return 0
 	}
 	st := n.state.Load()
@@ -503,16 +413,12 @@ func (n *Network) InjectMulticast(from Addr, group, kind string, wire []byte, le
 			n.mcastDropped.Add(1)
 			continue
 		}
-		body, aliased, err := n.decodeDelivery(kind, wire)
+		body, held, err := n.decode(kind, wire, lease)
 		if err != nil {
 			n.mcastDropped.Add(1)
 			continue
 		}
-		msg := Message{From: from, Group: group, Kind: kind, Body: body, Size: len(wire)}
-		if aliased && lease != nil {
-			lease.Retain()
-			msg.Lease = lease
-		}
+		msg := Message{From: from, Group: group, Kind: kind, Body: body, Size: len(wire), Lease: held}
 		if n.deliver(dst, msg, st.latency) {
 			delivered++
 			n.bytes.Add(uint64(len(wire)))
@@ -524,104 +430,49 @@ func (n *Network) InjectMulticast(from Addr, group, kind string, wire []byte, le
 	return delivered
 }
 
-// encodeToPool serializes body into a pooled buffer — the sender's
-// half of the wire, at amortized zero allocations. On success the
-// caller owns the buffer and must release it with putEncBuf(bp, buf).
-func (n *Network) encodeToPool(kind string, body any) (buf []byte, bp *[]byte, err error) {
-	bp = encPool.Get().(*[]byte)
-	buf, err = n.codec.AppendBody((*bp)[:0], kind, body)
+// encode serializes body for one send or multicast into a fresh
+// refcounted Lease, so deliveries can alias the bytes; the caller owns
+// the lease's first reference and releases it once the fan-out is
+// done. A nil body is encoded with no lease and no codec call: it
+// travels as zero-length wire and decode delivers it as nil, so
+// bodiless control messages (acks, shutdowns, stats probes) cost no
+// serialization at all.
+func (n *Network) encode(kind string, body any) ([]byte, *Lease, error) {
+	if body == nil {
+		return nil, nil, nil
+	}
+	lease := NewLease(0)
+	wire, err := n.codec.AppendBody(lease.buf, kind, body)
 	if err != nil {
-		encPool.Put(bp)
+		lease.Release()
 		n.wireErrors.Add(1)
 		return nil, nil, fmt.Errorf("%w: encode %s: %v", ErrCodec, kind, err)
 	}
+	lease.buf = wire // adopt growth so the pool keeps the capacity
 	n.wireEncodes.Add(1)
-	return buf, bp, nil
+	return wire, lease, nil
 }
 
-// decodeWire materializes one delivery's body from the shared wire
-// bytes — the receiver's half. It is called once per actual delivery;
+// decode materializes one delivery's body from the shared wire bytes —
+// the receiver's half. It is called once per actual delivery;
 // datagrams the network drops are never decoded (the receiver never
-// saw them). Decoded values alias nothing in the buffer.
-func (n *Network) decodeWire(kind string, wire []byte) (any, error) {
-	out, err := n.codec.DecodeBody(kind, wire)
+// saw them). When the body aliases wire, the delivery takes its own
+// reference on lease (which must back wire) and returns it as held.
+func (n *Network) decode(kind string, wire []byte, lease *Lease) (body any, held *Lease, err error) {
+	if len(wire) == 0 {
+		return nil, nil, nil
+	}
+	body, aliased, err := n.codec.DecodeBodyView(kind, wire)
 	if err != nil {
 		n.wireErrors.Add(1)
-		return nil, fmt.Errorf("%w: decode %s: %v", ErrCodec, kind, err)
+		return nil, nil, fmt.Errorf("%w: decode %s: %v", ErrCodec, kind, err)
 	}
 	n.wireDecodes.Add(1)
-	return out, nil
-}
-
-// encodeWire serializes body for one send or multicast. Three shapes,
-// by decreasing frequency on the data plane:
-//   - view mode: the bytes land in a fresh refcounted Lease (returned
-//     non-nil) so deliveries can alias them;
-//   - copy mode: a pooled buffer (bp non-nil), recycled immediately
-//     after the copying decode;
-//   - nil body: encoded with no buffer at all — a bodiless control
-//     message appends nothing, so there is nothing to pool. (A codec
-//     that encodes nil to bytes still works; the fresh slice is simply
-//     GC-owned.)
-//
-// The caller settles exactly one obligation: putEncBuf(bp, wire) when
-// bp is non-nil, lease.Release() when lease is non-nil.
-func (n *Network) encodeWire(kind string, body any) (wire []byte, bp *[]byte, lease *Lease, err error) {
-	if body == nil {
-		// Nil bodies bypass the codec in both directions: they travel
-		// as zero-length wire and decodeDelivery delivers them as nil
-		// without a decode call. This is what puts wire-mode control
-		// messages (acks, shutdowns, stats probes) at passthrough
-		// parity — no codec call, no pool round trip, no counters.
-		return nil, nil, nil, nil
+	if aliased && lease != nil {
+		lease.Retain()
+		held = lease
 	}
-	if n.viewCodec != nil {
-		lease = NewLease(0)
-		wire, err = n.codec.AppendBody(lease.buf, kind, body)
-		if err != nil {
-			lease.Release()
-			n.wireErrors.Add(1)
-			return nil, nil, nil, fmt.Errorf("%w: encode %s: %v", ErrCodec, kind, err)
-		}
-		lease.buf = wire // adopt growth so the pool keeps the capacity
-		n.wireEncodes.Add(1)
-		return wire, nil, lease, nil
-	}
-	wire, bp, err = n.encodeToPool(kind, body)
-	return wire, bp, nil, err
-}
-
-// releaseEnc settles encodeWire's buffer obligation on paths that drop
-// the message before (or instead of) delivery.
-func (n *Network) releaseEnc(bp *[]byte, lease *Lease, wire []byte) {
-	if bp != nil {
-		putEncBuf(bp, wire)
-	}
-	if lease != nil {
-		lease.Release()
-	}
-}
-
-// decodeDelivery materializes one delivery's body. In view mode the
-// result's []byte fields may alias wire (aliased=true) and the caller
-// pairs the message with the backing lease. A zero-length encoding is
-// a nil body and skips the codec entirely — the nil-body fast path
-// that puts wire-mode control messages at parity with passthrough.
-func (n *Network) decodeDelivery(kind string, wire []byte) (body any, aliased bool, err error) {
-	if len(wire) == 0 {
-		return nil, false, nil
-	}
-	if vc := n.viewCodec; vc != nil {
-		body, aliased, err = vc.DecodeBodyView(kind, wire)
-		if err != nil {
-			n.wireErrors.Add(1)
-			return nil, false, fmt.Errorf("%w: decode %s: %v", ErrCodec, kind, err)
-		}
-		n.wireDecodes.Add(1)
-		return body, aliased, nil
-	}
-	body, err = n.decodeWire(kind, wire)
-	return body, false, err
+	return body, held, nil
 }
 
 // mutate applies f to a private clone of the current state and
@@ -1023,14 +874,13 @@ func (e *Endpoint) Leave(group string) {
 
 // Send delivers a point-to-point message. It returns ErrUnknownAddr if
 // no endpoint holds the destination address, or an ErrCodec-wrapped
-// error in wire mode when the body cannot be serialized; losses and
-// partition drops are silent (datagram semantics), mirroring a real
-// SAN.
-func (e *Endpoint) Send(to Addr, kind string, body any, size int) error {
-	return e.send(to, kind, body, size, 0, false, time.Time{}, 0)
+// error when the body cannot be serialized; losses and partition drops
+// are silent (datagram semantics), mirroring a real SAN.
+func (e *Endpoint) Send(to Addr, kind string, body any) error {
+	return e.send(to, kind, body, 0, false, time.Time{}, 0)
 }
 
-func (e *Endpoint) send(to Addr, kind string, body any, size int, callID uint64, reply bool, deadline time.Time, trace obs.TraceID) error {
+func (e *Endpoint) send(to Addr, kind string, body any, callID uint64, reply bool, deadline time.Time, trace obs.TraceID) error {
 	if e.closed.Load() {
 		return ErrClosed // a dead process sends nothing
 	}
@@ -1046,49 +896,29 @@ func (e *Endpoint) send(to Addr, kind string, body any, size int, callID uint64,
 		}
 		return e.sendRemote(st, to, kind, body, callID, reply, trace)
 	}
-	var (
-		wire  []byte
-		bp    *[]byte
-		lease *Lease
-	)
-	if n.codec != nil {
-		// The sender pays serialization before the network can drop
-		// the datagram, as a real NIC would.
-		var err error
-		wire, bp, lease, err = n.encodeWire(kind, body)
-		if err != nil {
-			return err
-		}
-		size = len(wire)
+	// The sender pays serialization before the network can drop the
+	// datagram, as a real NIC would.
+	wire, lease, err := n.encode(kind, body)
+	if err != nil {
+		return err
 	}
+	// The sender's reference goes once the delivery holds its own.
+	defer lease.Release()
 	if !st.samePartition(e.addr.Node, to.Node) || e.chance(st.lossP) {
-		n.releaseEnc(bp, lease, wire)
 		n.dropped.Add(1)
 		return nil
 	}
-	var msgLease *Lease
-	if n.codec != nil {
-		decoded, aliased, err := n.decodeDelivery(kind, wire)
-		if err != nil {
-			// The bytes arrived but the receiver cannot parse them:
-			// dropped on delivery, surfaced to the sender for tests.
-			n.releaseEnc(bp, lease, wire)
-			n.dropped.Add(1)
-			return err
-		}
-		body = decoded
-		if aliased && lease != nil {
-			// The delivery's reference; the sender's own (below) then
-			// leaves the buffer alive until the consumer releases.
-			lease.Retain()
-			msgLease = lease
-		}
-		n.releaseEnc(bp, lease, wire)
+	body, held, err := n.decode(kind, wire, lease)
+	if err != nil {
+		// The bytes arrived but the receiver cannot parse them:
+		// dropped on delivery, surfaced to the sender for tests.
+		n.dropped.Add(1)
+		return err
 	}
-	msg := Message{From: e.addr, To: to, Kind: kind, Body: body, Size: size, CallID: callID, Reply: reply, Deadline: deadline, Trace: trace, Lease: msgLease}
+	msg := Message{From: e.addr, To: to, Kind: kind, Body: body, Size: len(wire), CallID: callID, Reply: reply, Deadline: deadline, Trace: trace, Lease: held}
 	if n.deliver(dst, msg, st.latency) {
 		n.sent.Add(1)
-		n.bytes.Add(uint64(size))
+		n.bytes.Add(uint64(len(wire)))
 	} else {
 		msg.Release()
 		n.dropped.Add(1)
@@ -1110,21 +940,18 @@ func (e *Endpoint) sendRemote(st *netState, to Addr, kind string, body any, call
 		n.dropped.Add(1)
 		return nil
 	}
-	wire, bp, lease, err := n.encodeWire(kind, body)
+	wire, lease, err := n.encode(kind, body)
 	if err != nil {
 		return err
 	}
 	handed := st.fabric.Unicast(e.addr, to, kind, callID, reply, trace, wire, lease)
-	if handed {
-		n.sent.Add(1)
-		n.bytes.Add(uint64(len(wire)))
-	} else {
-		n.dropped.Add(1)
-	}
-	n.releaseEnc(bp, lease, wire)
+	lease.Release()
 	if !handed {
+		n.dropped.Add(1)
 		return fmt.Errorf("%w: %s", ErrUnknownAddr, to)
 	}
+	n.sent.Add(1)
+	n.bytes.Add(uint64(len(wire)))
 	return nil
 }
 
@@ -1134,32 +961,24 @@ func (e *Endpoint) sendRemote(st *netState, to Addr, kind string, body any, call
 // snapshot: membership or impairment changes mid-loop affect only
 // later multicasts.
 //
-// In wire mode the body is encoded exactly once per call, however
-// large the group: the immutable byte slice is shared across the
-// fanout and each actual delivery decodes its own fresh value from it
-// (lost datagrams are never decoded — the receiver never saw them).
-// An unencodable body reaches nobody and returns 0.
-func (e *Endpoint) Multicast(group, kind string, body any, size int) int {
+// The body is encoded exactly once per call, however large the group:
+// the immutable byte slice is shared across the fanout and each actual
+// delivery decodes its own fresh value from it (lost datagrams are
+// never decoded — the receiver never saw them). An unencodable body
+// reaches nobody and returns 0.
+func (e *Endpoint) Multicast(group, kind string, body any) int {
 	n := e.net
 	if n.closed.Load() {
 		return 0
 	}
 	st := n.state.Load()
 	members := st.groups[group]
-	var (
-		wire    []byte
-		bufp    *[]byte
-		lease   *Lease
-		encoded bool
-	)
-	if n.codec != nil && (len(members) > 0 || st.fabric != nil) {
-		var err error
-		wire, bufp, lease, err = n.encodeWire(kind, body) // encode-once fan-out: 1 per Multicast
-		if err != nil {
-			return 0
-		}
-		size = len(wire)
-		encoded = true
+	if len(members) == 0 && st.fabric == nil {
+		return 0
+	}
+	wire, lease, err := n.encode(kind, body) // encode-once fan-out: 1 per Multicast
+	if err != nil {
+		return 0
 	}
 	delivered := 0
 	for _, dst := range members {
@@ -1171,35 +990,26 @@ func (e *Endpoint) Multicast(group, kind string, body any, size int) int {
 			n.mcastDropped.Add(1)
 			continue
 		}
-		mbody := body
-		var msgLease *Lease
-		if n.codec != nil {
-			decoded, aliased, err := n.decodeDelivery(kind, wire)
-			if err != nil {
-				n.mcastDropped.Add(1)
-				continue
-			}
-			mbody = decoded
-			if aliased && lease != nil {
-				lease.Retain() // one reference per aliased delivery
-				msgLease = lease
-			}
+		mbody, held, err := n.decode(kind, wire, lease) // one reference per aliased delivery
+		if err != nil {
+			n.mcastDropped.Add(1)
+			continue
 		}
-		msg := Message{From: e.addr, Group: group, Kind: kind, Body: mbody, Size: size, Lease: msgLease}
+		msg := Message{From: e.addr, Group: group, Kind: kind, Body: mbody, Size: len(wire), Lease: held}
 		if n.deliver(dst, msg, st.latency) {
 			delivered++
-			n.bytes.Add(uint64(size))
+			n.bytes.Add(uint64(len(wire)))
 		} else {
 			msg.Release()
 			n.mcastDropped.Add(1)
 		}
 	}
-	if st.fabric != nil && encoded {
+	if st.fabric != nil {
 		// The same encode-once bytes cross the process boundary; each
 		// remote network re-fans them out to its own members.
 		st.fabric.Multicast(e.addr, group, kind, wire)
 	}
-	n.releaseEnc(bufp, lease, wire)
+	lease.Release()
 	return delivered
 }
 
@@ -1209,7 +1019,7 @@ func (e *Endpoint) Multicast(group, kind string, body any, size int) int {
 // messages through DeliverReply. The context's deadline, if any, is
 // stamped on the delivered request (Message.Deadline) so the callee
 // can skip work nobody will wait for.
-func (e *Endpoint) Call(ctx context.Context, to Addr, kind string, body any, size int) (Message, error) {
+func (e *Endpoint) Call(ctx context.Context, to Addr, kind string, body any) (Message, error) {
 	if e.closed.Load() {
 		return Message{}, ErrClosed
 	}
@@ -1230,7 +1040,7 @@ func (e *Endpoint) Call(ctx context.Context, to Addr, kind string, body any, siz
 	}()
 
 	deadline, _ := ctx.Deadline()
-	if err := e.send(to, kind, body, size, id, false, deadline, obs.TraceFrom(ctx)); err != nil {
+	if err := e.send(to, kind, body, id, false, deadline, obs.TraceFrom(ctx)); err != nil {
 		return Message{}, err
 	}
 	select {
@@ -1268,8 +1078,8 @@ func (e *Endpoint) DeliverReply(msg Message) bool {
 // Respond answers a request message received from Call. The request's
 // trace id is echoed onto the reply so the return leg of a traced
 // request stays attributable.
-func (e *Endpoint) Respond(req Message, kind string, body any, size int) error {
-	return e.send(req.From, kind, body, size, req.CallID, true, time.Time{}, req.Trace)
+func (e *Endpoint) Respond(req Message, kind string, body any) error {
+	return e.send(req.From, kind, body, req.CallID, true, time.Time{}, req.Trace)
 }
 
 // Expired reports whether the message carries a deadline that has

@@ -6,7 +6,7 @@ import (
 )
 
 func BenchmarkSendReceive(b *testing.B) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	src := n.Endpoint(Addr{Node: "a", Proc: "src"}, 64)
 	dst := n.Endpoint(Addr{Node: "b", Proc: "dst"}, 1024)
 	go func() {
@@ -16,14 +16,14 @@ func BenchmarkSendReceive(b *testing.B) {
 	b.SetBytes(1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for src.Send(dst.Addr(), "d", nil, 1024) != nil {
+		for src.Send(dst.Addr(), "d", nil) != nil {
 			b.Fatal("send failed")
 		}
 	}
 }
 
 func BenchmarkMulticastFanout(b *testing.B) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	src := n.Endpoint(Addr{Node: "a", Proc: "src"}, 64)
 	const members = 32
 	for i := 0; i < members; i++ {
@@ -36,17 +36,17 @@ func BenchmarkMulticastFanout(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src.Multicast("grp", "beacon", nil, 128)
+		src.Multicast("grp", "beacon", nil)
 	}
 }
 
 func BenchmarkCallRoundTrip(b *testing.B) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	client := n.Endpoint(Addr{Node: "a", Proc: "client"}, 256)
 	server := n.Endpoint(Addr{Node: "b", Proc: "server"}, 256)
 	go func() {
 		for msg := range server.Inbox() {
-			server.Respond(msg, "pong", nil, 16)
+			server.Respond(msg, "pong", nil)
 		}
 	}()
 	go func() {
@@ -57,7 +57,7 @@ func BenchmarkCallRoundTrip(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.Call(ctx, server.Addr(), "ping", nil, 16); err != nil {
+		if _, err := client.Call(ctx, server.Addr(), "ping", nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // rework. Distinct destination pairs keep the measurement on the
 // network layer rather than a single inbox.
 func BenchmarkSANSendParallel(b *testing.B) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	// Nonzero loss keeps the rng on the hot path, as in impaired runs.
 	n.SetLoss(0.01, 0)
 	var next atomic.Int64
@@ -28,7 +28,7 @@ func BenchmarkSANSendParallel(b *testing.B) {
 			}
 		}()
 		for pb.Next() {
-			if err := src.Send(dst.Addr(), "d", nil, 1024); err != nil {
+			if err := src.Send(dst.Addr(), "d", nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -39,7 +39,7 @@ func BenchmarkSANSendParallel(b *testing.B) {
 // sender targets one inbox, so the receiving endpoint's channel is the
 // shared resource.
 func BenchmarkSANSendParallelSharedSink(b *testing.B) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	dst := n.Endpoint(Addr{Node: "sink", Proc: "dst"}, 4096)
 	go func() {
 		for range dst.Inbox() {
@@ -53,7 +53,7 @@ func BenchmarkSANSendParallelSharedSink(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		src := n.Endpoint(Addr{Node: "senders", Proc: fmt.Sprint(next.Add(1))}, 8)
 		for pb.Next() {
-			if err := src.Send(dst.Addr(), "d", nil, 1024); err != nil {
+			if err := src.Send(dst.Addr(), "d", nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -63,7 +63,7 @@ func BenchmarkSANSendParallelSharedSink(b *testing.B) {
 // BenchmarkSANMulticastParallel measures concurrent multicast fanout —
 // manager beacons and monitor reports all share this path.
 func BenchmarkSANMulticastParallel(b *testing.B) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	const members = 16
 	for i := 0; i < members; i++ {
 		ep := n.Endpoint(Addr{Node: "m", Proc: string(rune('a' + i))}, 4096)
@@ -79,7 +79,7 @@ func BenchmarkSANMulticastParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		src := n.Endpoint(Addr{Node: "senders", Proc: fmt.Sprint(next.Add(1))}, 8)
 		for pb.Next() {
-			src.Multicast("grp", "beacon", nil, 128)
+			src.Multicast("grp", "beacon", nil)
 		}
 	})
 }

@@ -10,10 +10,10 @@ import (
 func addr(node, proc string) Addr { return Addr{Node: node, Proc: proc} }
 
 func TestPointToPoint(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 8)
-	if err := a.Send(b.Addr(), "ping", "hello", 5); err != nil {
+	if err := a.Send(b.Addr(), "ping", "hello"); err != nil {
 		t.Fatal(err)
 	}
 	msg := <-b.Inbox()
@@ -27,23 +27,23 @@ func TestPointToPoint(t *testing.T) {
 }
 
 func TestSendUnknownAddr(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	a := n.Endpoint(addr("n1", "a"), 8)
-	err := a.Send(addr("nx", "ghost"), "ping", nil, 0)
+	err := a.Send(addr("nx", "ghost"), "ping", nil)
 	if err == nil {
 		t.Fatal("expected ErrUnknownAddr")
 	}
 }
 
 func TestMulticast(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 8)
 	c := n.Endpoint(addr("n3", "c"), 8)
 	b.Join("ctl")
 	c.Join("ctl")
 	a.Join("ctl") // sender should not receive its own multicast
-	if got := a.Multicast("ctl", "beacon", 7, 10); got != 2 {
+	if got := a.Multicast("ctl", "beacon", 7); got != 2 {
 		t.Fatalf("delivered = %d, want 2", got)
 	}
 	for _, ep := range []*Endpoint{b, c} {
@@ -60,33 +60,33 @@ func TestMulticast(t *testing.T) {
 }
 
 func TestLeaveGroup(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 8)
 	b.Join("ctl")
 	b.Leave("ctl")
-	if got := a.Multicast("ctl", "x", nil, 0); got != 0 {
+	if got := a.Multicast("ctl", "x", nil); got != 0 {
 		t.Fatalf("delivered after leave = %d", got)
 	}
 }
 
 func TestPartitionDropsTraffic(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 8)
 	b.Join("ctl")
 	n.Partition(map[string]int{"n1": 0, "n2": 1})
-	if err := a.Send(b.Addr(), "ping", nil, 1); err != nil {
+	if err := a.Send(b.Addr(), "ping", nil); err != nil {
 		t.Fatal(err) // silent drop, not an error
 	}
-	a.Multicast("ctl", "beacon", nil, 1)
+	a.Multicast("ctl", "beacon", nil)
 	select {
 	case m := <-b.Inbox():
 		t.Fatalf("message crossed partition: %+v", m)
 	case <-time.After(10 * time.Millisecond):
 	}
 	n.Heal()
-	if err := a.Send(b.Addr(), "ping", nil, 1); err != nil {
+	if err := a.Send(b.Addr(), "ping", nil); err != nil {
 		t.Fatal(err)
 	}
 	if msg := <-b.Inbox(); msg.Kind != "ping" {
@@ -95,13 +95,13 @@ func TestPartitionDropsTraffic(t *testing.T) {
 }
 
 func TestLoss(t *testing.T) {
-	n := NewNetwork(42)
+	n := NewNetwork(42, &countingCodec{})
 	a := n.Endpoint(addr("n1", "a"), 4096)
 	b := n.Endpoint(addr("n2", "b"), 4096)
 	n.SetLoss(0.5, 0)
 	const total = 2000
 	for i := 0; i < total; i++ {
-		if err := a.Send(b.Addr(), "d", i, 1); err != nil {
+		if err := a.Send(b.Addr(), "d", i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,12 +112,12 @@ func TestLoss(t *testing.T) {
 }
 
 func TestMulticastLoss(t *testing.T) {
-	n := NewNetwork(42)
+	n := NewNetwork(42, &countingCodec{})
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 4096)
 	b.Join("ctl")
 	n.SetLoss(0, 1.0)
-	if got := a.Multicast("ctl", "x", nil, 1); got != 0 {
+	if got := a.Multicast("ctl", "x", nil); got != 0 {
 		t.Fatalf("delivered %d with 100%% mcast loss", got)
 	}
 	if n.Stats().McastDropped == 0 {
@@ -126,7 +126,7 @@ func TestMulticastLoss(t *testing.T) {
 }
 
 func TestCallRespond(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	client := n.Endpoint(addr("n1", "client"), 8)
 	server := n.Endpoint(addr("n2", "server"), 8)
 
@@ -135,7 +135,7 @@ func TestCallRespond(t *testing.T) {
 		defer close(done)
 		for msg := range server.Inbox() {
 			if msg.Kind == "add" {
-				server.Respond(msg, "sum", msg.Body.(int)+1, 8)
+				server.Respond(msg, "sum", msg.Body.(int)+1)
 				return
 			}
 		}
@@ -149,7 +149,7 @@ func TestCallRespond(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	resp, err := client.Call(ctx, server.Addr(), "add", 41, 8)
+	resp, err := client.Call(ctx, server.Addr(), "add", 41)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestCallRespond(t *testing.T) {
 }
 
 func TestCallTimeout(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	client := n.Endpoint(addr("n1", "client"), 8)
 	n.Endpoint(addr("n2", "server"), 8) // never answers
 	go func() {
@@ -170,25 +170,25 @@ func TestCallTimeout(t *testing.T) {
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := client.Call(ctx, addr("n2", "server"), "add", 1, 8)
+	_, err := client.Call(ctx, addr("n2", "server"), "add", 1)
 	if err == nil {
 		t.Fatal("expected timeout")
 	}
 }
 
 func TestCallToDeadEndpoint(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	client := n.Endpoint(addr("n1", "client"), 8)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := client.Call(ctx, addr("nx", "ghost"), "add", 1, 8)
+	_, err := client.Call(ctx, addr("nx", "ghost"), "add", 1)
 	if err == nil {
 		t.Fatal("expected error calling unknown address")
 	}
 }
 
 func TestLateReplyIsConsumedQuietly(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	client := n.Endpoint(addr("n1", "client"), 8)
 	server := n.Endpoint(addr("n2", "server"), 8)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
@@ -200,20 +200,20 @@ func TestLateReplyIsConsumedQuietly(t *testing.T) {
 			}
 		}
 	}()
-	_, err := client.Call(ctx, server.Addr(), "slow", nil, 0)
+	_, err := client.Call(ctx, server.Addr(), "slow", nil)
 	if err == nil {
 		t.Fatal("expected timeout")
 	}
 	// Server answers after the caller gave up.
 	req := <-server.Inbox()
-	if err := server.Respond(req, "late", nil, 0); err != nil {
+	if err := server.Respond(req, "late", nil); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(10 * time.Millisecond)
 }
 
 func TestDropNode(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 8)
 	b.Join("ctl")
@@ -221,10 +221,10 @@ func TestDropNode(t *testing.T) {
 	if n.Lookup(b.Addr()) {
 		t.Fatal("endpoint survived node drop")
 	}
-	if err := a.Send(b.Addr(), "ping", nil, 0); err == nil {
+	if err := a.Send(b.Addr(), "ping", nil); err == nil {
 		t.Fatal("expected unknown-address error after node drop")
 	}
-	if got := a.Multicast("ctl", "x", nil, 0); got != 0 {
+	if got := a.Multicast("ctl", "x", nil); got != 0 {
 		t.Fatalf("multicast reached dropped node: %d", got)
 	}
 	// The dropped endpoint's inbox is closed.
@@ -234,14 +234,14 @@ func TestDropNode(t *testing.T) {
 }
 
 func TestReRegisterReplacesEndpoint(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	old := n.Endpoint(addr("n1", "p"), 8)
 	nu := n.Endpoint(addr("n1", "p"), 8)
 	if _, ok := <-old.Inbox(); ok {
 		t.Fatal("old endpoint not closed on re-register")
 	}
 	src := n.Endpoint(addr("n2", "src"), 8)
-	if err := src.Send(addr("n1", "p"), "ping", nil, 0); err != nil {
+	if err := src.Send(addr("n1", "p"), "ping", nil); err != nil {
 		t.Fatal(err)
 	}
 	if msg := <-nu.Inbox(); msg.Kind != "ping" {
@@ -250,13 +250,13 @@ func TestReRegisterReplacesEndpoint(t *testing.T) {
 }
 
 func TestFullInboxDrops(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 1)
-	if err := a.Send(b.Addr(), "one", nil, 0); err != nil {
+	if err := a.Send(b.Addr(), "one", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send(b.Addr(), "two", nil, 0); err != nil {
+	if err := a.Send(b.Addr(), "two", nil); err != nil {
 		t.Fatal(err) // silently dropped
 	}
 	if n.Stats().Dropped != 1 {
@@ -265,12 +265,12 @@ func TestFullInboxDrops(t *testing.T) {
 }
 
 func TestLatency(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	n.SetLatency(func() time.Duration { return 10 * time.Millisecond })
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 8)
 	start := time.Now()
-	if err := a.Send(b.Addr(), "ping", nil, 0); err != nil {
+	if err := a.Send(b.Addr(), "ping", nil); err != nil {
 		t.Fatal(err)
 	}
 	<-b.Inbox()
@@ -280,7 +280,7 @@ func TestLatency(t *testing.T) {
 }
 
 func TestConcurrentSendersRace(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	dst := n.Endpoint(addr("n0", "sink"), 100000)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -290,7 +290,7 @@ func TestConcurrentSendersRace(t *testing.T) {
 			defer wg.Done()
 			ep := n.Endpoint(Addr{Node: "n1", Proc: "p" + string(rune('a'+g))}, 8)
 			for i := 0; i < 500; i++ {
-				_ = ep.Send(dst.Addr(), "d", i, 1)
+				_ = ep.Send(dst.Addr(), "d", i)
 			}
 		}()
 	}
@@ -301,13 +301,13 @@ func TestConcurrentSendersRace(t *testing.T) {
 }
 
 func TestCloseFailsPendingCalls(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	client := n.Endpoint(addr("n1", "client"), 8)
 	server := n.Endpoint(addr("n2", "server"), 8)
 	errc := make(chan error, 1)
 	go func() {
 		ctx := context.Background()
-		_, err := client.Call(ctx, server.Addr(), "never", nil, 0)
+		_, err := client.Call(ctx, server.Addr(), "never", nil)
 		errc <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -328,13 +328,13 @@ func TestAddrString(t *testing.T) {
 }
 
 func TestLossBurstRestoresPriorLoss(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	a := n.Endpoint(addr("n1", "a"), 256)
 	b := n.Endpoint(addr("n2", "b"), 256)
 
 	n.SetLoss(0, 0)
 	n.LossBurst(1, 1, 30*time.Millisecond) // drop everything briefly
-	if err := a.Send(b.Addr(), "k", nil, 1); err != nil {
+	if err := a.Send(b.Addr(), "k", nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := n.Stats().Dropped; got != 1 {
@@ -343,7 +343,7 @@ func TestLossBurstRestoresPriorLoss(t *testing.T) {
 	// After the burst the pre-burst (lossless) config returns.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if err := a.Send(b.Addr(), "k", nil, 1); err != nil {
+		if err := a.Send(b.Addr(), "k", nil); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -358,12 +358,12 @@ func TestLossBurstRestoresPriorLoss(t *testing.T) {
 }
 
 func TestPartitionForHeals(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	a := n.Endpoint(addr("n1", "a"), 256)
 	b := n.Endpoint(addr("n2", "b"), 256)
 
 	n.PartitionFor(map[string]int{"n2": 1}, 30*time.Millisecond)
-	if err := a.Send(b.Addr(), "k", nil, 1); err != nil {
+	if err := a.Send(b.Addr(), "k", nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := n.Stats().Dropped; got != 1 {
@@ -371,7 +371,7 @@ func TestPartitionForHeals(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if err := a.Send(b.Addr(), "k", nil, 1); err != nil {
+		if err := a.Send(b.Addr(), "k", nil); err != nil {
 			t.Fatal(err)
 		}
 		select {

@@ -14,7 +14,7 @@ import (
 // mutator; without it, it still shakes out lost-wakeup and
 // send-on-closed bugs.
 func TestConcurrentSendCloseJoin(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	const receivers = 4
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -62,9 +62,9 @@ func TestConcurrentSendCloseJoin(t *testing.T) {
 			src := n.Endpoint(Addr{Node: "senders", Proc: fmt.Sprintf("tx%d", s)}, 8)
 			for i := 0; i < 3000; i++ {
 				to := Addr{Node: fmt.Sprintf("rn%d", i%receivers), Proc: "rx"}
-				_ = src.Send(to, "d", i, 16) // unknown-addr errors expected mid-churn
+				_ = src.Send(to, "d", i) // unknown-addr errors expected mid-churn
 				if i%8 == 0 {
-					src.Multicast("grp", "beacon", i, 32)
+					src.Multicast("grp", "beacon", i)
 				}
 			}
 		}()
@@ -101,7 +101,7 @@ func TestConcurrentSendCloseJoin(t *testing.T) {
 
 // TestConcurrentDropNodeVsSend races node crashes against traffic.
 func TestConcurrentDropNodeVsSend(t *testing.T) {
-	n := NewNetwork(7)
+	n := NewNetwork(7, &countingCodec{})
 	var wg sync.WaitGroup
 	for round := 0; round < 20; round++ {
 		dst := n.Endpoint(Addr{Node: "victim", Proc: "p"}, 1024)
@@ -116,7 +116,7 @@ func TestConcurrentDropNodeVsSend(t *testing.T) {
 				defer wg.Done()
 				src := n.Endpoint(Addr{Node: "ok", Proc: fmt.Sprintf("s%d", s)}, 8)
 				for i := 0; i < 50; i++ {
-					_ = src.Send(Addr{Node: "victim", Proc: "p"}, "d", i, 8)
+					_ = src.Send(Addr{Node: "victim", Proc: "p"}, "d", i)
 				}
 			}()
 		}
@@ -137,14 +137,14 @@ func TestConcurrentDropNodeVsSend(t *testing.T) {
 // run over run — the property the figure experiments rely on.
 func TestDeterministicLossSequence(t *testing.T) {
 	run := func() []bool {
-		n := NewNetwork(42)
+		n := NewNetwork(42, &countingCodec{})
 		src := n.Endpoint(Addr{Node: "a", Proc: "s"}, 8)
 		dst := n.Endpoint(Addr{Node: "b", Proc: "d"}, 4096)
 		n.SetLoss(0.5, 0)
 		out := make([]bool, 0, 200)
 		for i := 0; i < 200; i++ {
 			before := n.Stats().Sent
-			if err := src.Send(dst.Addr(), "x", nil, 1); err != nil {
+			if err := src.Send(dst.Addr(), "x", nil); err != nil {
 				t.Fatal(err)
 			}
 			out = append(out, n.Stats().Sent > before)

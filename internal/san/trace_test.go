@@ -12,7 +12,7 @@ import (
 // rides the delivered request (Message.Trace) and is echoed on the
 // reply, exactly like the deadline convention.
 func TestCallPropagatesTrace(t *testing.T) {
-	n := NewNetwork(1)
+	n := NewNetwork(1, &countingCodec{})
 	client := n.Endpoint(Addr{Node: "n1", Proc: "client"}, 8)
 	server := n.Endpoint(Addr{Node: "n2", Proc: "server"}, 8)
 
@@ -21,7 +21,7 @@ func TestCallPropagatesTrace(t *testing.T) {
 	go func() {
 		for msg := range server.Inbox() {
 			seen <- msg.Trace
-			server.Respond(msg, "pong", nil, 0)
+			server.Respond(msg, "pong", nil)
 			return
 		}
 	}()
@@ -33,7 +33,7 @@ func TestCallPropagatesTrace(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(obs.WithTrace(context.Background(), id), time.Second)
 	defer cancel()
-	reply, err := client.Call(ctx, server.Addr(), "ping", nil, 0)
+	reply, err := client.Call(ctx, server.Addr(), "ping", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestCallPropagatesTrace(t *testing.T) {
 	}
 
 	// Plain sends stay untraced.
-	if err := client.Send(server.Addr(), "k", nil, 0); err != nil {
+	if err := client.Send(server.Addr(), "k", nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -72,7 +72,7 @@ func TestInjectStampsTrace(t *testing.T) {
 // TestNetworkObsPlane: the network owns one tracer/registry pair and
 // the san collector publishes its stats.
 func TestNetworkObsPlane(t *testing.T) {
-	n := NewNetwork(3)
+	n := NewNetwork(3, &countingCodec{})
 	if n.Tracer() == nil || n.Registry() == nil {
 		t.Fatal("network missing obs plane")
 	}
@@ -81,7 +81,7 @@ func TestNetworkObsPlane(t *testing.T) {
 	if a.Tracer() != n.Tracer() || a.Registry() != n.Registry() {
 		t.Fatal("endpoint accessors must return the network's obs plane")
 	}
-	if err := a.Send(b.Addr(), "k", nil, 4); err != nil {
+	if err := a.Send(b.Addr(), "k", nil); err != nil {
 		t.Fatal(err)
 	}
 	<-b.Inbox()

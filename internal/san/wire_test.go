@@ -2,6 +2,7 @@ package san
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -9,44 +10,43 @@ import (
 	"time"
 )
 
-// countingCodec is a minimal wire codec for string bodies (nil encodes
-// to empty) that counts every encode and decode call — the instrument
-// behind the encode-once fan-out assertions.
+// countingCodec is the package tests' wire codec: a non-empty string
+// body encodes as its bytes, an int body as a zero byte plus a varint
+// (nil bodies never reach a codec). It counts every encode and decode
+// call — the instrument behind the encode-once fan-out assertions.
 type countingCodec struct {
 	encodes atomic.Int64
 	decodes atomic.Int64
 }
 
-var errBadBody = errors.New("countingCodec: body is not a string")
+var errBadBody = errors.New("countingCodec: body is neither a string nor an int")
 
 func (c *countingCodec) AppendBody(dst []byte, kind string, body any) ([]byte, error) {
 	c.encodes.Add(1)
-	if body == nil {
-		return dst, nil
+	switch v := body.(type) {
+	case string:
+		return append(dst, v...), nil
+	case int:
+		return binary.AppendVarint(append(dst, 0), int64(v)), nil
 	}
-	s, ok := body.(string)
-	if !ok {
-		return nil, errBadBody
-	}
-	return append(dst, s...), nil
+	return nil, errBadBody
 }
 
-func (c *countingCodec) DecodeBody(kind string, data []byte) (any, error) {
+func (c *countingCodec) DecodeBodyView(kind string, data []byte) (any, bool, error) {
 	c.decodes.Add(1)
-	if len(data) == 0 {
-		return nil, nil
+	if data[0] != 0 {
+		return string(data), false, nil
 	}
-	return string(data), nil
+	if v, n := binary.Varint(data[1:]); n > 0 {
+		return int(v), false, nil
+	}
+	return nil, false, errBadBody
 }
 
 func wireNet(t *testing.T) (*Network, *countingCodec) {
 	t.Helper()
 	c := &countingCodec{}
-	n := NewNetwork(1, WithCodec(c))
-	if !n.WireMode() {
-		t.Fatal("WithCodec did not enable wire mode")
-	}
-	return n, c
+	return NewNetwork(1, c), c
 }
 
 // TestWireSendRoundTrip: a point-to-point send crosses the SAN as
@@ -55,7 +55,7 @@ func TestWireSendRoundTrip(t *testing.T) {
 	n, c := wireNet(t)
 	a := n.Endpoint(Addr{Node: "n1", Proc: "a"}, 4)
 	b := n.Endpoint(Addr{Node: "n2", Proc: "b"}, 4)
-	if err := a.Send(b.Addr(), "ping", "hello", 5); err != nil {
+	if err := a.Send(b.Addr(), "ping", "hello"); err != nil {
 		t.Fatal(err)
 	}
 	msg := <-b.Inbox()
@@ -91,7 +91,7 @@ func TestWireMulticastEncodesOnce(t *testing.T) {
 		ep.Join("grp")
 		sinks = append(sinks, ep)
 	}
-	if got := src.Multicast("grp", "beacon", "payload", 7); got != members {
+	if got := src.Multicast("grp", "beacon", "payload"); got != members {
 		t.Fatalf("delivered %d, want %d", got, members)
 	}
 	if c.encodes.Load() != 1 {
@@ -108,7 +108,7 @@ func TestWireMulticastEncodesOnce(t *testing.T) {
 	}
 	// A second fanout encodes once more — the count scales with calls,
 	// not with group size.
-	src.Multicast("grp", "beacon", "again", 5)
+	src.Multicast("grp", "beacon", "again")
 	if c.encodes.Load() != 2 {
 		t.Fatalf("encodes after 2nd multicast = %d, want 2", c.encodes.Load())
 	}
@@ -125,7 +125,7 @@ func TestWireMulticastLostDeliveriesNotDecoded(t *testing.T) {
 		ep.Join("grp")
 	}
 	n.SetLoss(0, 1.0) // every multicast delivery is lost
-	if got := src.Multicast("grp", "beacon", "x", 1); got != 0 {
+	if got := src.Multicast("grp", "beacon", "x"); got != 0 {
 		t.Fatalf("delivered %d under total loss", got)
 	}
 	if c.encodes.Load() != 1 {
@@ -146,7 +146,7 @@ func TestWireSendLostDeliveriesNotDecoded(t *testing.T) {
 	n.SetLoss(1.0, 0) // every p2p delivery is lost
 	const sends = 10
 	for i := 0; i < sends; i++ {
-		if err := a.Send(b.Addr(), "ping", "x", 1); err != nil {
+		if err := a.Send(b.Addr(), "ping", "x"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,10 +168,10 @@ func TestWireEncodeErrors(t *testing.T) {
 	a := n.Endpoint(Addr{Node: "n1", Proc: "a"}, 4)
 	b := n.Endpoint(Addr{Node: "n1", Proc: "b"}, 4)
 	b.Join("grp")
-	if err := a.Send(b.Addr(), "k", 42, 8); !errors.Is(err, ErrCodec) {
+	if err := a.Send(b.Addr(), "k", 4.2); !errors.Is(err, ErrCodec) {
 		t.Fatalf("send err = %v, want ErrCodec", err)
 	}
-	if got := a.Multicast("grp", "k", 42, 8); got != 0 {
+	if got := a.Multicast("grp", "k", 4.2); got != 0 {
 		t.Fatalf("multicast delivered %d with unencodable body", got)
 	}
 	st := n.Stats()
@@ -200,7 +200,7 @@ func TestWireCallRoundTrip(t *testing.T) {
 		defer close(done)
 		for msg := range server.Inbox() {
 			if msg.Kind == "add" {
-				server.Respond(msg, "sum", msg.Body.(string)+"!", 8)
+				server.Respond(msg, "sum", msg.Body.(string)+"!")
 				return
 			}
 		}
@@ -212,7 +212,7 @@ func TestWireCallRoundTrip(t *testing.T) {
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	resp, err := client.Call(ctx, server.Addr(), "add", "41", 2)
+	resp, err := client.Call(ctx, server.Addr(), "add", "41")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestWireBufferReuseIsSafe(t *testing.T) {
 		go func(i int) {
 			src := n.Endpoint(Addr{Node: "src", Proc: fmt.Sprintf("s%d", i)}, 4)
 			for j := 0; j < msgs; j++ {
-				if err := src.Send(sinks[i].Addr(), "d", fmt.Sprintf("s%d-m%d", i, j), 0); err != nil {
+				if err := src.Send(sinks[i].Addr(), "d", fmt.Sprintf("s%d-m%d", i, j)); err != nil {
 					done <- err
 					return
 				}

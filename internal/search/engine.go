@@ -97,7 +97,7 @@ func (s *shardService) Run(ctx context.Context) error {
 				time.Sleep(s.queryDelay)
 			}
 			hits := s.shard.Search(req.Query, req.K)
-			_ = ep.Respond(msg, msgHits, queryResp{Hits: hits, Docs: s.shard.Docs()}, 64+32*len(hits))
+			_ = ep.Respond(msg, msgHits, queryResp{Hits: hits, Docs: s.shard.Docs()})
 		}
 	}
 }
@@ -318,7 +318,7 @@ func (e *Engine) Query(ctx context.Context, query string, k int) QueryResult {
 func (e *Engine) askShard(ctx context.Context, addr san.Addr, query string, k int) (queryResp, bool) {
 	cctx, cancel := context.WithTimeout(ctx, e.cfg.QueryTimeout)
 	defer cancel()
-	msg, err := e.ep.Call(cctx, addr, msgQuery, queryReq{Query: query, K: k}, len(query)+16)
+	msg, err := e.ep.Call(cctx, addr, msgQuery, queryReq{Query: query, K: k})
 	if err != nil {
 		return queryResp{}, false
 	}

@@ -1,9 +1,12 @@
 package search
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -104,7 +107,7 @@ func TestMergeHits(t *testing.T) {
 // deployTestEngine boots a small engine over a fresh cluster.
 func deployTestEngine(t *testing.T, mode FailureMode, parts int) (*Engine, *cluster.Cluster, []Doc) {
 	t.Helper()
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, WireCodec{})
 	cl := cluster.New(net)
 	for i := 0; i < parts; i++ {
 		cl.AddNode(fmt.Sprintf("snode%d", i), false)
@@ -275,7 +278,7 @@ func TestRenderResults(t *testing.T) {
 }
 
 func TestDeployNeedsEnoughNodes(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, WireCodec{})
 	cl := cluster.New(net)
 	cl.AddNode("only", false)
 	_, err := Deploy(Config{Net: net, Cluster: cl, Partitions: 4}, nil)
@@ -295,4 +298,94 @@ func TestGenerateCorpusDeterministic(t *testing.T) {
 	if syntheticWord(0) == syntheticWord(1) {
 		t.Fatal("word collision")
 	}
+}
+
+// TestWireCodecRoundTrip: both shard bodies survive the codec intact,
+// and neither aliases the wire bytes.
+func TestWireCodecRoundTrip(t *testing.T) {
+	bodies := map[string]any{
+		msgQuery: queryReq{Query: "ba de", K: 10},
+		msgHits: queryResp{Docs: 1234, Hits: []Hit{
+			{Doc: 7, Title: "seven", Score: 2.5, Shard: 1},
+			{Doc: -1, Title: "", Score: -0.125, Shard: 25},
+		}},
+	}
+	for kind, body := range bodies {
+		wire, err := WireCodec{}.AppendBody(nil, kind, body)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", kind, err)
+		}
+		got, aliased, err := WireCodec{}.DecodeBodyView(kind, wire)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", kind, err)
+		}
+		if aliased {
+			t.Fatalf("%s: decode reports aliasing", kind)
+		}
+		if !reflect.DeepEqual(got, body) {
+			t.Fatalf("%s: round trip\n got %#v\nwant %#v", kind, got, body)
+		}
+	}
+	if _, err := (WireCodec{}).AppendBody(nil, msgQuery, "not a query"); !errors.Is(err, ErrWireFormat) {
+		t.Fatalf("wrong body type: err = %v, want ErrWireFormat", err)
+	}
+}
+
+// TestWireCodecRejectsTruncated: every strict prefix of a valid
+// encoding, and trailing garbage, decodes to an error — never a panic.
+func TestWireCodecRejectsTruncated(t *testing.T) {
+	wire, err := WireCodec{}.AppendBody(nil, msgHits, queryResp{Docs: 9, Hits: []Hit{{Doc: 3, Title: "t", Score: 1, Shard: 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(wire); cut++ {
+		if _, _, err := (WireCodec{}).DecodeBodyView(msgHits, wire[:cut]); !errors.Is(err, ErrWireFormat) {
+			t.Fatalf("prefix %d/%d: err = %v, want ErrWireFormat", cut, len(wire), err)
+		}
+	}
+	if _, _, err := (WireCodec{}).DecodeBodyView(msgHits, append(wire, 0)); !errors.Is(err, ErrWireFormat) {
+		t.Fatalf("trailing byte: err = %v, want ErrWireFormat", err)
+	}
+	// A hit count far beyond what the bytes can hold is refused before
+	// anything is allocated for it.
+	if _, _, err := (WireCodec{}).DecodeBodyView(msgHits, []byte{0xff, 0xff, 0xff, 0xff, 0x0f}); !errors.Is(err, ErrWireFormat) {
+		t.Fatalf("huge hit count: err = %v, want ErrWireFormat", err)
+	}
+}
+
+// FuzzWireCodec: arbitrary bytes decode to a body or an error, never a
+// panic, and whatever decodes re-encodes to bytes that decode and
+// re-encode to themselves.
+func FuzzWireCodec(f *testing.F) {
+	for kind, body := range map[string]any{
+		msgQuery: queryReq{Query: "ba", K: 3},
+		msgHits:  queryResp{Docs: 2, Hits: []Hit{{Doc: 1, Title: "x", Score: 0.5}}},
+	} {
+		wire, err := WireCodec{}.AppendBody(nil, kind, body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(kind == msgHits, wire)
+	}
+	f.Fuzz(func(t *testing.T, hits bool, data []byte) {
+		kind := msgQuery
+		if hits {
+			kind = msgHits
+		}
+		body, _, err := WireCodec{}.DecodeBodyView(kind, data)
+		if err != nil {
+			return
+		}
+		wire, err := WireCodec{}.AppendBody(nil, kind, body)
+		if err != nil {
+			t.Fatalf("decoded %#v does not re-encode: %v", body, err)
+		}
+		body2, _, err := WireCodec{}.DecodeBodyView(kind, wire)
+		if err != nil {
+			t.Fatalf("re-encoding %x does not decode: %v", wire, err)
+		}
+		if wire2, _ := (WireCodec{}).AppendBody(nil, kind, body2); !bytes.Equal(wire2, wire) {
+			t.Fatalf("re-encoding is unstable:\n got %x\nwant %x", wire2, wire)
+		}
+	})
 }

@@ -388,7 +388,7 @@ func (ms *ManagerStub) Dispatch(ctx context.Context, class string, task *tacc.Ta
 			}
 		}
 		cctx, cancel := context.WithTimeout(ctx, callTimeout)
-		resp, err := ms.ep.Call(cctx, info.Addr, MsgTask, TaskMsg{Task: *task, Deadline: dlNanos, Trace: uint64(trace)}, task.Input.Size()+128)
+		resp, err := ms.ep.Call(cctx, info.Addr, MsgTask, TaskMsg{Task: *task, Deadline: dlNanos, Trace: uint64(trace)})
 		cancel()
 		if err != nil {
 			// Timeout or vanished endpoint: treat the worker as
@@ -464,7 +464,7 @@ func (ms *ManagerStub) requestSpawn(class string) {
 	ms.mu.Lock()
 	ms.spawnAsks++
 	ms.mu.Unlock()
-	_ = ms.ep.Send(mgr, MsgSpawnReq, SpawnReq{Class: class}, 32)
+	_ = ms.ep.Send(mgr, MsgSpawnReq, SpawnReq{Class: class})
 }
 
 // waitForWorker polls the cached table briefly for a worker of class

@@ -65,7 +65,7 @@ func (fm *fakeManager) run(ctx context.Context, advertise func() []WorkerInfo) {
 		seq++
 		fm.ep.Multicast(GroupControl, MsgBeacon, Beacon{
 			Manager: fm.ep.Addr(), Seq: seq, Workers: advertise(),
-		}, 128)
+		})
 	}
 	send()
 	for {
@@ -122,7 +122,7 @@ func feEndpoint(t *testing.T, net *san.Network, cfg ManagerStubConfig) (*san.End
 }
 
 func TestWorkerRegistersAndServes(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, WireCodec{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -158,7 +158,7 @@ func TestWorkerRegistersAndServes(t *testing.T) {
 }
 
 func TestWorkerTaskErrorPropagates(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, WireCodec{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -184,7 +184,7 @@ func TestWorkerTaskErrorPropagates(t *testing.T) {
 }
 
 func TestWorkerPanicCrashesStub(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, WireCodec{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -217,7 +217,7 @@ func TestWorkerPanicCrashesStub(t *testing.T) {
 }
 
 func TestWorkerPanicSurvivesWhenConfigured(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, WireCodec{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -247,7 +247,7 @@ func TestWorkerPanicSurvivesWhenConfigured(t *testing.T) {
 }
 
 func TestDispatchFailsOverToLiveWorker(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, WireCodec{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -281,7 +281,7 @@ func TestDispatchFailsOverToLiveWorker(t *testing.T) {
 }
 
 func TestQueueFullRejection(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, WireCodec{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -301,12 +301,14 @@ func TestQueueFullRejection(t *testing.T) {
 	// Saturate: send slow tasks directly.
 	slow := TaskMsg{Task: tacc.Task{Params: map[string]string{"mode": "slow"}}}
 	for i := 0; i < 3; i++ {
-		go ep.Call(ctx, info.Addr, MsgTask, slow, 64)
+		go ep.Call(ctx, info.Addr, MsgTask, slow)
 	}
-	waitFor(t, "queue to fill", func() bool { return ws.QueueLen() >= 1 })
+	// QueueLen counts the running task too: one running plus one
+	// queued fills the one-slot queue.
+	waitFor(t, "queue to fill", func() bool { return ws.QueueLen() >= 2 })
 	cctx, ccancel := context.WithTimeout(ctx, time.Second)
 	defer ccancel()
-	resp, err := ep.Call(cctx, info.Addr, MsgTask, slow, 64)
+	resp, err := ep.Call(cctx, info.Addr, MsgTask, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +319,7 @@ func TestQueueFullRejection(t *testing.T) {
 }
 
 func TestManagerStubSurvivesManagerDeath(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, WireCodec{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	mgrCtx, mgrCancel := context.WithCancel(ctx)
@@ -353,7 +355,7 @@ func TestManagerStubSurvivesManagerDeath(t *testing.T) {
 }
 
 func TestManagerWatchdogFires(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, WireCodec{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	mgrCtx, mgrCancel := context.WithCancel(ctx)
@@ -374,7 +376,7 @@ func TestManagerWatchdogFires(t *testing.T) {
 }
 
 func TestHotUpgradeDisableEnable(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, WireCodec{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -390,14 +392,14 @@ func TestHotUpgradeDisableEnable(t *testing.T) {
 
 	ep, _ := feEndpoint(t, net, ManagerStubConfig{CallTimeout: time.Second})
 	ctl := net.Endpoint(san.Addr{Node: "mon", Proc: "monitor"}, 16)
-	if err := ctl.Send(info.Addr, MsgDisable, nil, 8); err != nil {
+	if err := ctl.Send(info.Addr, MsgDisable, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "deregistration", func() bool { return fm.deregistered.Load() >= 1 })
 
 	cctx, ccancel := context.WithTimeout(ctx, time.Second)
 	defer ccancel()
-	resp, err := ep.Call(cctx, info.Addr, MsgTask, TaskMsg{}, 16)
+	resp, err := ep.Call(cctx, info.Addr, MsgTask, TaskMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,12 +409,12 @@ func TestHotUpgradeDisableEnable(t *testing.T) {
 
 	// Enable: worker re-registers and serves again.
 	before := fm.registered.Load()
-	if err := ctl.Send(info.Addr, MsgEnable, nil, 8); err != nil {
+	if err := ctl.Send(info.Addr, MsgEnable, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "re-registration", func() bool { return fm.registered.Load() > before })
 	resp, err = ep.Call(cctx, info.Addr, MsgTask,
-		TaskMsg{Task: tacc.Task{Input: tacc.Blob{Data: []byte("hi")}}}, 16)
+		TaskMsg{Task: tacc.Task{Input: tacc.Blob{Data: []byte("hi")}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +424,7 @@ func TestHotUpgradeDisableEnable(t *testing.T) {
 }
 
 func TestDispatchNoWorkersAsksForSpawn(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, WireCodec{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -438,7 +440,7 @@ func TestDispatchNoWorkersAsksForSpawn(t *testing.T) {
 }
 
 func TestDispatchPipelineChains(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, WireCodec{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -470,7 +472,7 @@ func TestDispatchPipelineChains(t *testing.T) {
 }
 
 func TestBeaconRemovesVanishedWorkers(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, WireCodec{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -491,7 +493,7 @@ func TestBeaconRemovesVanishedWorkers(t *testing.T) {
 
 func TestRetryBackoffJitteredExponential(t *testing.T) {
 	const base = 2 * time.Millisecond
-	_, ms := feEndpoint(t, san.NewNetwork(1), ManagerStubConfig{Seed: 7, RetryBackoff: base})
+	_, ms := feEndpoint(t, san.NewNetwork(1, WireCodec{}), ManagerStubConfig{Seed: 7, RetryBackoff: base})
 
 	// Every draw for attempt n lands in [base*2^(n-1), 2*base*2^(n-1)),
 	// with the exponent capped at 6 so deep retry budgets cannot turn
@@ -511,8 +513,8 @@ func TestRetryBackoffJitteredExponential(t *testing.T) {
 
 	// Same seed, same jitter sequence: retry timing stays inside the
 	// run-twice determinism contract.
-	_, ms1 := feEndpoint(t, san.NewNetwork(1), ManagerStubConfig{Seed: 42, RetryBackoff: base})
-	_, ms2 := feEndpoint(t, san.NewNetwork(1), ManagerStubConfig{Seed: 42, RetryBackoff: base})
+	_, ms1 := feEndpoint(t, san.NewNetwork(1, WireCodec{}), ManagerStubConfig{Seed: 42, RetryBackoff: base})
+	_, ms2 := feEndpoint(t, san.NewNetwork(1, WireCodec{}), ManagerStubConfig{Seed: 42, RetryBackoff: base})
 	for attempt := 1; attempt <= 6; attempt++ {
 		if d1, d2 := ms1.retryBackoff(attempt), ms2.retryBackoff(attempt); d1 != d2 {
 			t.Fatalf("attempt %d: same-seed stubs drew %v vs %v", attempt, d1, d2)
@@ -520,14 +522,14 @@ func TestRetryBackoffJitteredExponential(t *testing.T) {
 	}
 
 	// Negative disables backoff outright (zero would mean "default").
-	_, msOff := feEndpoint(t, san.NewNetwork(1), ManagerStubConfig{Seed: 7, RetryBackoff: -time.Millisecond})
+	_, msOff := feEndpoint(t, san.NewNetwork(1, WireCodec{}), ManagerStubConfig{Seed: 7, RetryBackoff: -time.Millisecond})
 	if d := msOff.retryBackoff(3); d != 0 {
 		t.Fatalf("disabled backoff returned %v, want 0", d)
 	}
 }
 
 func TestDispatchBacksOffBetweenRetries(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, WireCodec{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 5*time.Millisecond)

@@ -188,19 +188,18 @@ const (
 // bytes, floats are IEEE-754 bits). DecodeBody is total: malformed
 // input yields an error, never a panic or an unbounded allocation —
 // the property the FuzzWireRoundTrip fuzzer hammers on. A san.Network
-// built with san.WithCodec(WireCodec{}) runs this codec on its live
-// message path (wire mode); EncodeBodyAppend is the pooled-buffer
-// entry point that path uses, and control signals without a body
-// layout (MsgShutdown, MsgDisable, MsgEnable, vcache.MsgOK,
+// built with WireCodec{} runs this codec on its live message path;
+// EncodeBodyAppend is the append entry point that path uses, and
+// control signals without a body layout (MsgShutdown, MsgDisable, MsgEnable, vcache.MsgOK,
 // vcache.MsgStats) encode a nil body as empty bytes.
 
 // ErrWireFormat reports a malformed or truncated wire message.
 var ErrWireFormat = errors.New("stub: malformed wire message")
 
 // WireCodec adapts the package codec to san.Codec, so a network built
-// with san.WithCodec(stub.WireCodec{}) serializes every SNS message —
-// control plane, data plane, and the cache protocol — through the
-// production encoding.
+// with san.NewNetwork(seed, stub.WireCodec{}) serializes every SNS
+// message — control plane, data plane, and the cache protocol —
+// through the production encoding.
 type WireCodec struct{}
 
 // AppendBody implements san.Codec.
@@ -208,16 +207,16 @@ func (WireCodec) AppendBody(dst []byte, kind string, body any) ([]byte, error) {
 	return EncodeBodyAppend(dst, kind, body)
 }
 
-// DecodeBody implements san.Codec.
-func (WireCodec) DecodeBody(kind string, data []byte) (any, error) {
-	return DecodeBody(kind, data)
-}
-
-// DecodeBodyView implements san.ViewCodec: a network running this
-// codec decodes []byte body fields as views into the wire bytes, and
-// deliveries carry the backing buffer's san.Lease.
+// DecodeBodyView implements san.Codec: []byte fields of the result
+// (blob data, cache values) alias data directly instead of copying,
+// reported by aliased=true. Strings are always copied (Go string
+// conversion), so only the bulk payload bytes share memory with the
+// input. With aliased=true the result is valid only while data's
+// buffer is — the san layer pairs it with a Lease. Kinds without
+// byte-slice fields return aliased=false and are identical to
+// DecodeBody.
 func (WireCodec) DecodeBodyView(kind string, data []byte) (any, bool, error) {
-	return DecodeBodyView(kind, data)
+	return decodeBody(kind, data, true)
 }
 
 // EncodeBody serializes a message body for the given kind. Kinds
@@ -421,18 +420,6 @@ func EncodeBodyAppend(dst []byte, kind string, body any) ([]byte, error) {
 func DecodeBody(kind string, data []byte) (any, error) {
 	body, _, err := decodeBody(kind, data, false)
 	return body, err
-}
-
-// DecodeBodyView parses a message body in view mode: []byte fields of
-// the result (blob data, cache values) alias data directly instead of
-// copying, reported by aliased=true. Strings are always copied (Go
-// string conversion), so only the bulk payload bytes share memory with
-// the input. The caller owns data's lifetime: with aliased=true the
-// result is valid only while data's buffer is — the san layer pairs it
-// with a Lease. Kinds without byte-slice fields return aliased=false
-// and are identical to DecodeBody.
-func DecodeBodyView(kind string, data []byte) (body any, aliased bool, err error) {
-	return decodeBody(kind, data, true)
 }
 
 func decodeBody(kind string, data []byte, view bool) (any, bool, error) {

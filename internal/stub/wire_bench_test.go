@@ -11,7 +11,7 @@ func benchBody() (string, any) {
 }
 
 // BenchmarkWireEncodeAppend measures the steady-state encode path the
-// SAN's wire mode runs: appending into a recycled buffer. This must
+// SAN runs: appending into a recycled buffer. This must
 // stay at 0 allocs/op — the pooled-codec acceptance criterion.
 func BenchmarkWireEncodeAppend(b *testing.B) {
 	kind, body := benchBody()

@@ -239,7 +239,7 @@ func TestFEHeartbeatOldFormatDecodes(t *testing.T) {
 // re-encode and re-decode to the same value (the codec is canonical on
 // its own output). The re-encode runs through EncodeBodyAppend into a
 // dirty recycled buffer, so the fuzzer also hammers the pooled
-// append path the SAN's wire mode uses.
+// append path the SAN uses.
 func FuzzWireRoundTrip(f *testing.F) {
 	kinds := WireKinds()
 	for i, kind := range kinds {
@@ -283,7 +283,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		// decoder accepts — aliasing is a lifetime difference, never a
 		// value difference.
 		vbuf := append([]byte{}, re...)
-		view, aliased, err := DecodeBodyView(kind, vbuf)
+		view, aliased, err := WireCodec{}.DecodeBodyView(kind, vbuf)
 		if err != nil {
 			t.Fatalf("%s: owning decode succeeded but view decode failed: %v", kind, err)
 		}
@@ -313,7 +313,7 @@ func TestDecodeBodyViewAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, aliased, err := DecodeBodyView(MsgResult, wire)
+	body, aliased, err := WireCodec{}.DecodeBodyView(MsgResult, wire)
 	if err != nil {
 		t.Fatal(err)
 	}

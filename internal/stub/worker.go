@@ -223,21 +223,21 @@ func (s *WorkerStub) handle(ctx context.Context, ep *san.Endpoint, msg san.Messa
 			// This is the §3.1.3 recovery path — "if the manager
 			// crashes and restarts, the distillers detect beacons
 			// from the new manager and re-register themselves".
-			_ = ep.Send(b.Manager, MsgRegister, RegisterMsg{Info: s.Info()}, 64)
+			_ = ep.Send(b.Manager, MsgRegister, RegisterMsg{Info: s.Info()})
 		}
 	case MsgTask:
 		s.mu.Lock()
 		disabled := s.disabled
 		s.mu.Unlock()
 		if disabled {
-			_ = ep.Respond(msg, MsgResult, ResultMsg{Err: "worker disabled"}, 16)
+			_ = ep.Respond(msg, MsgResult, ResultMsg{Err: "worker disabled"})
 			return
 		}
 		select {
 		case s.queue <- queuedTask{msg: msg, at: time.Now()}:
 			s.qlen.Add(1)
 		default:
-			_ = ep.Respond(msg, MsgResult, ResultMsg{Err: "queue full"}, 16)
+			_ = ep.Respond(msg, MsgResult, ResultMsg{Err: "queue full"})
 		}
 	case MsgShutdown:
 		// Graceful reap: de-register, then crash out cleanly; the
@@ -257,7 +257,7 @@ func (s *WorkerStub) handle(ctx context.Context, ep *san.Endpoint, msg san.Messa
 		mgr := s.manager
 		s.mu.Unlock()
 		if !mgr.IsZero() {
-			_ = ep.Send(mgr, MsgRegister, RegisterMsg{Info: s.Info()}, 64)
+			_ = ep.Send(mgr, MsgRegister, RegisterMsg{Info: s.Info()})
 		}
 	}
 }
@@ -313,7 +313,7 @@ func (s *WorkerStub) processLoop(ctx context.Context, crashed chan<- any) {
 					Trace: trace, Comp: s.name, Hop: "worker.expired",
 					Start: qt.at.UnixNano(), Dur: int64(time.Since(qt.at)),
 				})
-				_ = s.ep.Respond(msg, MsgResult, ResultMsg{Err: ErrTaskExpired}, 16)
+				_ = s.ep.Respond(msg, MsgResult, ResultMsg{Err: ErrTaskExpired})
 				msg.Release()
 				continue
 			}
@@ -330,7 +330,7 @@ func (s *WorkerStub) processLoop(ctx context.Context, crashed chan<- any) {
 			}
 			if panicked != nil {
 				s.crashes.Add(1)
-				_ = s.ep.Respond(msg, MsgResult, ResultMsg{Err: fmt.Sprintf("worker panic: %v", panicked)}, 16)
+				_ = s.ep.Respond(msg, MsgResult, ResultMsg{Err: fmt.Sprintf("worker panic: %v", panicked)})
 				msg.Release()
 				if !s.cfg.SurvivePanic {
 					select {
@@ -343,12 +343,12 @@ func (s *WorkerStub) processLoop(ctx context.Context, crashed chan<- any) {
 			}
 			if err != nil {
 				s.errs.Add(1)
-				_ = s.ep.Respond(msg, MsgResult, ResultMsg{Err: err.Error()}, 16)
+				_ = s.ep.Respond(msg, MsgResult, ResultMsg{Err: err.Error()})
 				msg.Release()
 				continue
 			}
 			s.done.Add(1)
-			_ = s.ep.Respond(msg, MsgResult, ResultMsg{Blob: blob}, blob.Size()+32)
+			_ = s.ep.Respond(msg, MsgResult, ResultMsg{Blob: blob})
 			// Release after Respond: the result blob may alias the
 			// task's input (identity transforms), and Respond has
 			// finished encoding it by the time it returns.
@@ -433,7 +433,7 @@ func (s *WorkerStub) reportLoad(ep *san.Endpoint) {
 		Info:    s.Info(),
 	}
 	if !mgr.IsZero() && !disabled {
-		_ = ep.Send(mgr, MsgLoadReport, report, 64)
+		_ = ep.Send(mgr, MsgLoadReport, report)
 	}
 	ep.Multicast(GroupReports, MsgMonReport, StatusReport{
 		Component: s.name,
@@ -446,7 +446,7 @@ func (s *WorkerStub) reportLoad(ep *san.Endpoint) {
 			"errors":  float64(report.Errors),
 			"expired": float64(s.expired.Load()),
 		},
-	}, 96)
+	})
 }
 
 func (s *WorkerStub) deregister() {
@@ -454,6 +454,6 @@ func (s *WorkerStub) deregister() {
 	mgr := s.manager
 	s.mu.Unlock()
 	if !mgr.IsZero() {
-		_ = s.ep.Send(mgr, MsgDeregister, DeregisterMsg{ID: s.name}, 32)
+		_ = s.ep.Send(mgr, MsgDeregister, DeregisterMsg{ID: s.name})
 	}
 }

@@ -318,14 +318,14 @@ func (s *Supervisor) Run(ctx context.Context) error {
 				continue
 			}
 			ack := s.dispatch(cmd)
-			_ = ep.Respond(msg, MsgAck, ack, 64)
+			_ = ep.Respond(msg, MsgAck, ack)
 		}
 	}
 }
 
 func (s *Supervisor) heartbeat(ep *san.Endpoint) {
 	s.hellos.Add(1)
-	ep.Multicast(s.cfg.HeartbeatGroup, MsgHello, s.Hello(), 64)
+	ep.Multicast(s.cfg.HeartbeatGroup, MsgHello, s.Hello())
 }
 
 // dispatch executes one command at most once: a duplicate delivery
@@ -421,7 +421,7 @@ func (s *Supervisor) forwardControl(name, kind string) error {
 	if !ok {
 		return fmt.Errorf("supervisor: unknown component %s", name)
 	}
-	return s.ep.Send(addr, kind, nil, 16)
+	return s.ep.Send(addr, kind, nil)
 }
 
 // NextCommandID mints an id for a new incident issued from this
@@ -440,7 +440,7 @@ func (s *Supervisor) Invoke(ctx context.Context, to san.Addr, cmd Command) (Ack,
 	if cmd.ID == 0 {
 		cmd.ID = s.NextCommandID()
 	}
-	resp, err := s.ep.Call(ctx, to, MsgCmd, cmd, 64)
+	resp, err := s.ep.Call(ctx, to, MsgCmd, cmd)
 	if err != nil {
 		return Ack{}, err
 	}

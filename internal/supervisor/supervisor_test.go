@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/san"
+	"repro/internal/san/santest"
 )
 
 // fakeHost records every action; failures are switchable per op.
@@ -59,7 +60,7 @@ func (h *fakeHost) Addr(name string) (san.Addr, bool) {
 // client endpoint for issuing commands.
 func startSup(t *testing.T, host Host) (*Supervisor, *san.Endpoint) {
 	t.Helper()
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, &santest.Codec{})
 	sup := New(Config{
 		Name: "sup", Node: "n0", Net: net, Prefix: "b-", Host: host,
 		HeartbeatGroup: "ctl", HeartbeatInterval: 5 * time.Millisecond,
@@ -82,7 +83,7 @@ func call(t *testing.T, client *san.Endpoint, to san.Addr, cmd Command) Ack {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	resp, err := client.Call(ctx, to, MsgCmd, cmd, 64)
+	resp, err := client.Call(ctx, to, MsgCmd, cmd)
 	if err != nil {
 		t.Fatalf("command %+v: %v", cmd, err)
 	}
@@ -254,7 +255,7 @@ func TestHeartbeatsAnnouncePrefix(t *testing.T) {
 // supervisor, minting ids and origin automatically.
 func TestInvoke(t *testing.T) {
 	hostA, hostB := newFakeHost(), newFakeHost()
-	net := san.NewNetwork(3)
+	net := san.NewNetwork(3, &santest.Codec{})
 	supA := New(Config{Name: "supA", Node: "a0", Net: net, Prefix: "a-", Host: hostA})
 	supB := New(Config{Name: "supB", Node: "b0", Net: net, Prefix: "b-", Host: hostB})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -284,7 +285,7 @@ func TestInvoke(t *testing.T) {
 // hard cap, and results past their retention age, may be shed.
 func TestResultCacheRetentionUnderRetryStorm(t *testing.T) {
 	host := newFakeHost()
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, &santest.Codec{})
 	sup := New(Config{
 		Name: "sup", Node: "n0", Net: net, Prefix: "n", Host: host,
 		ResultCacheCap:  4,
@@ -349,7 +350,7 @@ func TestResultCacheRetentionUnderRetryStorm(t *testing.T) {
 // the retry contract the window encodes.
 func TestResultCacheAgedEvictionRestoresCapacity(t *testing.T) {
 	host := newFakeHost()
-	net := san.NewNetwork(2)
+	net := san.NewNetwork(2, &santest.Codec{})
 	sup := New(Config{
 		Name: "sup", Node: "n0", Net: net, Prefix: "n", Host: host,
 		ResultCacheCap:  4,
@@ -391,7 +392,7 @@ func TestResultCacheAgedEvictionRestoresCapacity(t *testing.T) {
 // tooling.
 func TestStaleEpochCommandFenced(t *testing.T) {
 	host := newFakeHost()
-	net := san.NewNetwork(3)
+	net := san.NewNetwork(3, &santest.Codec{})
 	sup := New(Config{
 		Name: "sup", Node: "n0", Net: net, Prefix: "n", Host: host,
 		HeartbeatGroup: "ctl", HeartbeatInterval: 5 * time.Millisecond,
@@ -438,7 +439,7 @@ func TestStaleEpochCommandFenced(t *testing.T) {
 	// command: an epoch-7 beacon fences even the regime that was valid a
 	// moment ago.
 	beaconer := net.Endpoint(san.Addr{Node: "m0", Proc: "mgr"}, 16)
-	beaconer.Multicast("ctl", "test.beacon", uint64(7), 16)
+	beaconer.Multicast("ctl", "test.beacon", uint64(7))
 	waitFor := time.Now().Add(2 * time.Second)
 	for sup.Epoch() < 7 && time.Now().Before(waitFor) {
 		time.Sleep(time.Millisecond)

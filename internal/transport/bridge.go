@@ -15,9 +15,8 @@ import (
 
 // Config assembles a Bridge.
 type Config struct {
-	// Net is the local SAN the bridge splices into the cluster. It
-	// must be in wire mode (san.WithCodec) — bodies cross process
-	// boundaries as bytes.
+	// Net is the local SAN the bridge splices into the cluster; its
+	// codec's bytes are what cross process boundaries.
 	Net *san.Network
 
 	// Listen is the socket to accept peers on: "tcp:host:port" or
@@ -244,9 +243,6 @@ func New(cfg Config) (*Bridge, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Net == nil {
 		return nil, errors.New("transport: Config.Net is required")
-	}
-	if !cfg.Net.WireMode() {
-		return nil, errors.New("transport: bridge requires a wire-mode network (san.WithCodec)")
 	}
 	network, address, err := splitListen(cfg.Listen)
 	if err != nil {

@@ -13,9 +13,9 @@ import (
 	"repro/internal/tacc"
 )
 
-// newWireNet builds a wire-mode network carrying the production codec.
+// newWireNet builds a network carrying the production codec.
 func newWireNet(seed int64) *san.Network {
-	return san.NewNetwork(seed, san.WithCodec(stub.WireCodec{}))
+	return san.NewNetwork(seed, stub.WireCodec{})
 }
 
 // bridgePair splices two fresh networks over loopback TCP and waits
@@ -76,7 +76,7 @@ func TestBridgeUnicastAndReply(t *testing.T) {
 		for msg := range wk.Inbox() {
 			if msg.Kind == stub.MsgTask {
 				tm := msg.Body.(stub.TaskMsg)
-				_ = wk.Respond(msg, stub.MsgResult, stub.ResultMsg{Blob: tm.Task.Input}, 64)
+				_ = wk.Respond(msg, stub.MsgResult, stub.ResultMsg{Blob: tm.Task.Input})
 			}
 		}
 	}()
@@ -88,7 +88,7 @@ func TestBridgeUnicastAndReply(t *testing.T) {
 	}()
 
 	// Plain send A->B (flooded: no route learned yet).
-	if err := fe.Send(wk.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "echo"}, 16); err != nil {
+	if err := fe.Send(wk.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "echo"}); err != nil {
 		t.Fatalf("cross-process send: %v", err)
 	}
 
@@ -100,7 +100,7 @@ func TestBridgeUnicastAndReply(t *testing.T) {
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
 		cctx, ccancel := context.WithTimeout(ctx, 2*time.Second)
-		resp, err = fe.Call(cctx, wk.Addr(), stub.MsgTask, task, 128)
+		resp, err = fe.Call(cctx, wk.Addr(), stub.MsgTask, task)
 		ccancel()
 		if err == nil {
 			break
@@ -143,7 +143,7 @@ func TestBridgeMulticast(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	got1, got2 := false, false
 	for !(got1 && got2) && time.Now().Before(deadline) {
-		mgr.Multicast(stub.GroupControl, stub.MsgBeacon, beacon, 64)
+		mgr.Multicast(stub.GroupControl, stub.MsgBeacon, beacon)
 		select {
 		case m := <-w1.Inbox():
 			if b, ok := m.Body.(stub.Beacon); ok && b.Seq == 7 {
@@ -187,7 +187,7 @@ func TestBridgeBurstBatches(t *testing.T) {
 	const burst = 1000
 	req := stub.SpawnReq{Class: "burst"}
 	for i := 0; i < burst; i++ {
-		if err := src.Send(dst.Addr(), stub.MsgSpawnReq, req, 16); err != nil {
+		if err := src.Send(dst.Addr(), stub.MsgSpawnReq, req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +239,7 @@ func TestBridgeAdvertRouting(t *testing.T) {
 		t.Fatal("dst was never advertised to A")
 	}
 
-	if err := src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "routed"}, 16); err != nil {
+	if err := src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "routed"}); err != nil {
 		t.Fatalf("advert-routed send: %v", err)
 	}
 	if m := awaitMsg(t, dst, 5*time.Second); m.Body.(stub.SpawnReq).Class != "routed" {
@@ -266,7 +266,7 @@ func TestBridgeInvalidationOnClose(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	delivered := false
 	for !delivered && time.Now().Before(deadline) {
-		_ = src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "pre"}, 16)
+		_ = src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "pre"})
 		select {
 		case <-dst.Inbox():
 			delivered = true
@@ -282,7 +282,7 @@ func TestBridgeInvalidationOnClose(t *testing.T) {
 	netB.Drop(dst.Addr())
 	deadline = time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		err := src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "post"}, 16)
+		err := src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "post"})
 		if errors.Is(err, san.ErrUnknownAddr) {
 			if ba.Stats().Unroutable == 0 {
 				t.Fatal("unroutable send not counted")
@@ -290,7 +290,7 @@ func TestBridgeInvalidationOnClose(t *testing.T) {
 			// Re-registration revives the address.
 			dst2 := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "dst"}, 64)
 			for time.Now().Before(deadline) {
-				if err := src.Send(dst2.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "back"}, 16); err == nil {
+				if err := src.Send(dst2.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "back"}); err == nil {
 					select {
 					case <-dst2.Inbox():
 						return
@@ -333,7 +333,7 @@ func TestBridgeReconnect(t *testing.T) {
 	src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "src"}, 64)
 	dst := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "dst"}, 256)
 
-	if err := src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "pre"}, 16); err != nil {
+	if err := src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "pre"}); err != nil {
 		t.Fatal(err)
 	}
 	if m := awaitMsg(t, dst, 5*time.Second); m.Body.(stub.SpawnReq).Class != "pre" {
@@ -349,7 +349,7 @@ func TestBridgeReconnect(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	recovered := false
 	for !recovered && time.Now().Before(deadline) {
-		_ = src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "post"}, 16)
+		_ = src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "post"})
 		select {
 		case m, ok := <-dst.Inbox():
 			if ok {
@@ -394,7 +394,7 @@ func TestBridgeUnixSocket(t *testing.T) {
 	dst := netB.Endpoint(san.Addr{Node: "n1", Proc: "dst"}, 64)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		_ = src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "ux"}, 16)
+		_ = src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "ux"})
 		select {
 		case m := <-dst.Inbox():
 			if m.Body.(stub.SpawnReq).Class == "ux" {
@@ -406,12 +406,9 @@ func TestBridgeUnixSocket(t *testing.T) {
 	t.Fatal("no delivery over unix sockets")
 }
 
-// TestBridgeRejectsPassthroughNet: a bridge cannot carry a network
-// without a codec — bodies must be bytes to cross a process boundary.
-func TestBridgeRejectsPassthroughNet(t *testing.T) {
-	if _, err := New(Config{Net: san.NewNetwork(1), Listen: "tcp:127.0.0.1:0"}); err == nil {
-		t.Fatal("bridge accepted a passthrough network")
-	}
+// TestBridgeRejectsBadConfig: a bridge needs a network to splice and
+// an address to listen on.
+func TestBridgeRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Listen: "tcp:127.0.0.1:0"}); err == nil {
 		t.Fatal("bridge accepted a nil network")
 	}
@@ -445,7 +442,7 @@ func TestBridgeTeardownNoLeaks(t *testing.T) {
 			}
 		}()
 		for j := 0; j < 50; j++ {
-			_ = src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "x"}, 16)
+			_ = src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "x"})
 		}
 		_ = bb.Close()
 		_ = ba.Close()

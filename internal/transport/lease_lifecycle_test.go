@@ -18,7 +18,7 @@ import (
 // reassembly build from its late fragments.
 
 // newChunkBridge builds the minimal Bridge the chunk send/receive
-// paths need — counters, frame pool, and a wire-mode network for
+// paths need — counters, frame pool, and a network for
 // injection — without listeners or real peers.
 func newChunkBridge() *Bridge {
 	b := &Bridge{net: newWireNet(1)}

@@ -152,7 +152,7 @@ func (s *Service) heartbeat(ep *san.Endpoint) {
 		Name: s.Name,
 		Addr: s.addr(),
 		Node: s.Node,
-	}, 48)
+	})
 }
 
 func (s *Service) handle(ep *san.Endpoint, msg san.Message) {
@@ -189,7 +189,7 @@ func (s *Service) handle(ep *san.Endpoint, msg san.Message) {
 			})
 		}
 		resp := GetResp{Found: found, Data: entry.Data, MIME: entry.MIME, Stale: stale}
-		_ = ep.Respond(msg, MsgGot, resp, len(entry.Data)+32)
+		_ = ep.Respond(msg, MsgGot, resp)
 	case MsgPut, MsgInject:
 		req, ok := msg.Body.(PutReq)
 		if !ok {
@@ -209,9 +209,9 @@ func (s *Service) handle(ep *san.Endpoint, msg san.Message) {
 			s.Partition.Put(req.Key, req.Data, req.MIME, req.TTL)
 		}
 		msg.Release()
-		_ = ep.Respond(msg, MsgOK, nil, 16)
+		_ = ep.Respond(msg, MsgOK, nil)
 	case MsgStats:
-		_ = ep.Respond(msg, MsgStatsR, s.Partition.Stats(), 64)
+		_ = ep.Respond(msg, MsgStatsR, s.Partition.Stats())
 	}
 }
 
@@ -289,29 +289,12 @@ func (c *Client) Get(ctx context.Context, key string) (data []byte, mime string,
 // view, data aliases a pooled receive buffer and release is non-nil —
 // the caller must finish reading (or copy) before calling release, must
 // call it exactly once, and must not touch data afterwards. A nil
-// release means data is already owned (local passthrough delivery, or
-// a miss). Front ends that write the bytes straight to a client socket
+// release means data is already owned (a body the codec copied, or a
+// miss). Front ends that write the bytes straight to a client socket
 // use this to serve a cache hit without any body copy in this process.
 func (c *Client) GetView(ctx context.Context, key string) (data []byte, mime string, release func(), found bool) {
-	addr, ok := c.owner(key)
-	if !ok {
-		return nil, "", nil, false
-	}
-	cctx, cancel := context.WithTimeout(ctx, c.Timeout)
-	defer cancel()
-	resp, err := c.ep.Call(cctx, addr, MsgGet, GetReq{Key: key}, len(key)+16)
-	if err != nil {
-		return nil, "", nil, false
-	}
-	got, ok := resp.Body.(GetResp)
-	if !ok || !got.Found {
-		resp.Release()
-		return nil, "", nil, false
-	}
-	if resp.Lease == nil {
-		return got.Data, got.MIME, nil, true
-	}
-	return got.Data, got.MIME, resp.Lease.Release, true
+	data, mime, _, release, found = c.getView(ctx, GetReq{Key: key})
+	return data, mime, release, found
 }
 
 // GetStaleView is GetView with the BASE degraded-mode widening: the
@@ -320,13 +303,17 @@ func (c *Client) GetView(ctx context.Context, key string) (data []byte, mime str
 // argument. An overloaded front end uses this to keep answering without
 // spending worker capacity; release semantics match GetView.
 func (c *Client) GetStaleView(ctx context.Context, key string) (data []byte, mime string, stale bool, release func(), found bool) {
-	addr, ok := c.owner(key)
+	return c.getView(ctx, GetReq{Key: key, Stale: true})
+}
+
+func (c *Client) getView(ctx context.Context, req GetReq) (data []byte, mime string, stale bool, release func(), found bool) {
+	addr, ok := c.owner(req.Key)
 	if !ok {
 		return nil, "", false, nil, false
 	}
 	cctx, cancel := context.WithTimeout(ctx, c.Timeout)
 	defer cancel()
-	resp, err := c.ep.Call(cctx, addr, MsgGet, GetReq{Key: key, Stale: true}, len(key)+16)
+	resp, err := c.ep.Call(cctx, addr, MsgGet, req)
 	if err != nil {
 		return nil, "", false, nil, false
 	}
@@ -335,10 +322,10 @@ func (c *Client) GetStaleView(ctx context.Context, key string) (data []byte, mim
 		resp.Release()
 		return nil, "", false, nil, false
 	}
-	if resp.Lease == nil {
-		return got.Data, got.MIME, got.Stale, nil, true
+	if resp.Lease != nil {
+		release = resp.Lease.Release
 	}
-	return got.Data, got.MIME, got.Stale, resp.Lease.Release, true
+	return got.Data, got.MIME, got.Stale, release, true
 }
 
 // Put stores original content; errors are swallowed (best effort).
@@ -358,7 +345,7 @@ func (c *Client) put(ctx context.Context, kind, key string, data []byte, mime st
 	}
 	cctx, cancel := context.WithTimeout(ctx, c.Timeout)
 	defer cancel()
-	_, _ = c.ep.Call(cctx, addr, kind, PutReq{Key: key, Data: data, MIME: mime, TTL: ttl}, len(data)+len(key)+32)
+	_, _ = c.ep.Call(cctx, addr, kind, PutReq{Key: key, Data: data, MIME: mime, TTL: ttl})
 }
 
 // StatsOf fetches one partition's stats (for the monitor).
@@ -371,7 +358,7 @@ func (c *Client) StatsOf(ctx context.Context, name string) (Stats, error) {
 	}
 	cctx, cancel := context.WithTimeout(ctx, c.Timeout)
 	defer cancel()
-	resp, err := c.ep.Call(cctx, addr, MsgStats, nil, 16)
+	resp, err := c.ep.Call(cctx, addr, MsgStats, nil)
 	if err != nil {
 		return Stats{}, err
 	}

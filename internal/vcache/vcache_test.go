@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/san"
+	"repro/internal/san/santest"
 )
 
 func TestPartitionGetPut(t *testing.T) {
@@ -236,7 +237,7 @@ func TestRingEmptyAndIdempotent(t *testing.T) {
 // to all of them plus a cleanup func.
 func startCacheCluster(t *testing.T, n int) (*Client, *cluster.Cluster) {
 	t.Helper()
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, &santest.Codec{})
 	cl := cluster.New(net)
 	client := NewClient(clientEndpoint(t, net))
 	for i := 0; i < n; i++ {
@@ -349,7 +350,7 @@ func TestClientInjectAndStats(t *testing.T) {
 }
 
 func TestClientEmptyRing(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, &santest.Codec{})
 	client := NewClient(clientEndpoint(t, net))
 	if _, _, ok := client.Get(context.Background(), "x"); ok {
 		t.Fatal("hit with no partitions")
@@ -358,7 +359,7 @@ func TestClientEmptyRing(t *testing.T) {
 }
 
 func TestServiceTimeModel(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, &santest.Codec{})
 	cl := cluster.New(net)
 	cl.AddNode("c0", false)
 	svc := NewService("cache0", net, "c0", NewPartition(1<<20, nil))

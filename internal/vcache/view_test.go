@@ -1,7 +1,8 @@
 package vcache_test
 
-// View-mode equivalence over a real wire-mode SAN (external test
-// package: the codec lives in stub, which itself imports vcache).
+// View-mode equivalence over a SAN running the production codec
+// (external test package: the codec lives in stub, which itself
+// imports vcache).
 // Get and GetView must be observationally identical — same data, mime,
 // and hit/miss verdicts — and the copy-on-retain discipline must hold:
 // bytes a caller keeps past release stay stable while the zero-copy
@@ -20,9 +21,9 @@ import (
 
 func startViewCache(t *testing.T) *vcache.Client {
 	t.Helper()
-	// WireCodec implements ViewCodec, so decode views are on: cache
-	// responses arrive as leased buffers, exactly as in production.
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	// WireCodec decodes byte fields as views: cache responses arrive
+	// as leased buffers, exactly as in production.
+	net := san.NewNetwork(1, stub.WireCodec{})
 	t.Cleanup(net.Close)
 	svc := vcache.NewService("cache0", net, "cnode", vcache.NewPartition(1<<20, nil))
 	ctx, cancel := context.WithCancel(context.Background())

@@ -321,7 +321,7 @@ if ! grep -q '"san.' <<<"${status}"; then
     exit 1
 fi
 text=$(curl -fsS "http://127.0.0.1:${HTTP4}/status?format=text")
-if ! grep -q 'san: wire=' <<<"${text}"; then
+if ! grep -q '^san: {Sent:' <<<"${text}"; then
     echo "smoke: [trace] FAILED — /status?format=text lost the human dump" >&2
     exit 1
 fi
